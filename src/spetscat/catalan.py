@@ -23,7 +23,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, prod
+from operator import attrgetter
 
 from .exactnum import (
     FractionalPowerError,
@@ -54,7 +56,7 @@ __all__ = [
 @dataclass(frozen=True)
 class VerificationReport:
     group: str
-    p: int
+    p: int | None
     claim: str
     equal: bool
     lhs: LaurentPoly | None
@@ -63,16 +65,11 @@ class VerificationReport:
     ms: int
 
     def to_json(self):
-        return {
-            "group": self.group,
-            "p": self.p,
-            "claim": self.claim,
-            "equal": self.equal,
-            "lhs": None if self.lhs is None else self.lhs.to_json(),
-            "rhs": None if self.rhs is None else self.rhs.to_json(),
-            "witness": self.witness,
-            "ms": self.ms,
-        }
+        out = dict(vars(self))
+        for side in ("lhs", "rhs"):
+            if out[side] is not None:
+                out[side] = out[side].to_json()
+        return out
 
 
 def coprime_range(h: int, upper: int) -> tuple[int, ...]:
@@ -80,6 +77,8 @@ def coprime_range(h: int, upper: int) -> tuple[int, ...]:
 
 
 def _check_p(g: GroupSpec, p: int) -> int:
+    if p < 1:
+        raise ValueError(f"p = {p} must be a positive integer")
     h = invariants(g).coxeter_number
     if gcd(p, h) != 1:
         raise ValueError(f"p = {p} is not coprime to the Coxeter number h = {h}")
@@ -109,14 +108,66 @@ def closed_form_main(g: GroupSpec, p: int) -> LaurentPoly:
 
 
 def _first_diff(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
-    diff = lhs - rhs
-    if diff.is_zero():
+    if lhs == rhs:
         return None
+    diff = lhs - rhs
     e = diff.min_exp()
     frac = (
         f"q^{e}" if diff.root_order == 1 else f"q^({e}/{diff.root_order})"
     )
     return f"{frac}: {diff.coeff(e)}"
+
+
+_FEG = attrgetter("feg")
+_DEG = attrgetter("deg")
+
+
+def _dim(cd) -> LaurentPoly:
+    return LaurentPoly({0: dimension(cd.label)})
+
+
+def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
+    """sum over characters of
+    y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
+    in the root variable y with y^h = q.  Callers validate p."""
+    h = invariants(g).coxeter_number
+    nh = g.n * h
+    total = LaurentPoly({}, "q", h)
+    for cd in all_char_data(g).values():
+        scalar = eval_at_root(at_root(cd), h, p)
+        if scalar.is_zero():
+            continue
+        term = weight(cd).with_root_order(h) * scalar
+        total = total + term.shift((cd.h_char - nh) * p)
+    return total
+
+
+def _timed(
+    g: GroupSpec, p: int | None, claim: str, lhs=None, rhs=None, failures=None
+) -> VerificationReport:
+    """Run one check under the clock and report it.
+
+    A comparison passes thunks `lhs` and `rhs`; `rhs` runs first, so a
+    left side that raises still leaves the right side in the report.
+    Other checks pass `failures`, a generator of failure descriptions.
+    Inexact divisions and fractional powers would falsify the theory, so
+    they become the witness too.
+    """
+    start = time.perf_counter()
+    left = right = None
+    try:
+        if failures is None:
+            right = rhs()
+            left = lhs()
+            found = _first_diff(left, right)
+        else:
+            found = "; ".join(failures()) or None
+    except (InexactDivisionError, FractionalPowerError) as exc:
+        found = f"{type(exc).__name__}: {exc}"
+    ms = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(
+        str(g), p, claim, found is None, left, right, found, ms
+    )
 
 
 def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
@@ -131,96 +182,53 @@ def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
     if g.kind not in (KIND_G1, KIND_GM):
         raise ValueError("trace sums cover the imprimitive kinds only")
     h = _check_p(g, p)
-    n = g.n
-    data = all_char_data(g)
-    total = LaurentPoly({}, "q", h)
-    for lab, cd in data.items():
-        scalar = eval_at_root(cd.feg, h, p)
-        if scalar.is_zero():
-            continue
-        term = cd.deg.with_root_order(h) * scalar
-        total = total + term.shift((cd.h_char - n * h) * p)
+    total = _char_sum(g, p, _FEG, _DEG)
     quotient = poly_exact_div(total, poincare(g).with_root_order(h))
     return quotient.in_q()
 
 
 def verify_main(g: GroupSpec, p_list) -> tuple[VerificationReport, ...]:
     """Compare trace_sum with the closed Catalan form for each p."""
-    out = []
-    for p in p_list:
-        start = time.perf_counter()
-        rhs = closed_form_main(g, p)
-        witness = None
-        try:
-            lhs = trace_sum(g, p)
-            equal = lhs == rhs
-            if not equal:
-                witness = _first_diff(lhs, rhs)
-        except (InexactDivisionError, FractionalPowerError) as exc:
-            lhs = None
-            equal = False
-            witness = f"{type(exc).__name__}: {exc}"
-        ms = int((time.perf_counter() - start) * 1000)
-        out.append(
-            VerificationReport(str(g), p, "main", equal, lhs, rhs, witness, ms)
+    return tuple(
+        _timed(
+            g, p, "main",
+            lhs=partial(trace_sum, g, p),
+            rhs=partial(closed_form_main, g, p),
         )
-    return tuple(out)
+        for p in p_list
+    )
 
 
 def verify_vanishing(g: GroupSpec, p: int) -> VerificationReport:
     """Evaluate every generic degree at zeta_h^p: the value must be
     (-1)^k exactly on the n+1 exterior-twist labels and 0 elsewhere."""
-    start = time.perf_counter()
     h = _check_p(g, p)
-    data = all_char_data(g)
-    twists = {
-        exterior_twist_label(g, k, p): k for k in range(g.n + 1)
-    }
-    witness = None
-    for lab, cd in data.items():
-        value = eval_at_root(cd.deg, h, p)
-        if lab in twists:
-            expected = (-1) ** twists[lab]
-            if value != expected:
-                witness = f"{label_str(lab)}: got {value}, expected {expected}"
-                break
-        elif not value.is_zero():
-            witness = f"{label_str(lab)}: got {value}, expected 0"
-            break
-    ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(
-        str(g), p, "vanishing", witness is None, None, None, witness, ms
-    )
+
+    def failures():
+        twists = {
+            exterior_twist_label(g, k, p): k for k in range(g.n + 1)
+        }
+        for lab, cd in all_char_data(g).items():
+            value = eval_at_root(cd.deg, h, p)
+            expected = (-1) ** twists[lab] if lab in twists else 0
+            # is_zero is far cheaper than comparing with the rational 0
+            if not value.is_zero() if expected == 0 else value != expected:
+                yield f"{label_str(lab)}: got {value}, expected {expected}"
+                return
+
+    return _timed(g, p, "vanishing", failures=failures)
 
 
 def verify_parking(g: GroupSpec, p: int) -> VerificationReport:
     """The Wedderburn-weighted sum against (q - 1)^n [p]_q^n.
 
     The left side is sum over characters of
-    q^((n h - h_char) p / h) * dim * Feg(zeta_h^(-p)), assembled in the
-    root variable; it must collapse to the exact polynomial (q^p - 1)^n.
+    q^((n h - h_char) p / h) * dim * Feg(zeta_h^(-p)), the character sum
+    at -p; it must collapse to the exact polynomial (q^p - 1)^n.
     """
-    start = time.perf_counter()
-    h = _check_p(g, p)
-    n = g.n
-    data = all_char_data(g)
-    total = LaurentPoly({}, "q", h)
-    for lab, cd in data.items():
-        scalar = eval_at_root(cd.feg, h, -p)
-        if scalar.is_zero():
-            continue
-        mono = LaurentPoly({(n * h - cd.h_char) * p: scalar * dimension(lab)}, "q", h)
-        total = total + mono
-    rhs = (q_monomial(p) - 1) ** n
-    witness = None
-    try:
-        lhs = total.in_q()
-        equal = lhs == rhs
-        if not equal:
-            witness = _first_diff(lhs, rhs)
-    except FractionalPowerError as exc:
-        lhs = None
-        equal = False
-        witness = f"FractionalPowerError: {exc}"
-    ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(str(g), p, "parking", equal, lhs, rhs, witness, ms)
+    _check_p(g, p)
+    return _timed(
+        g, p, "parking",
+        lhs=lambda: _char_sum(g, -p, _FEG, _dim).in_q(),
+        rhs=lambda: (q_monomial(p) - 1) ** g.n,
+    )

@@ -58,19 +58,15 @@ def _parse_p_spec(spec: str) -> list[int]:
 
 
 def _resolve_p_list(g: GroupSpec, spec: str | None, default_span: int = 3) -> list[int]:
-    """Validated p values: explicit singletons must be coprime to h;
-    ranges are filtered to the coprime residues; default is all coprime
-    p in [1, default_span * h]."""
+    """p values: an explicit singleton is kept as given, for the
+    computation to validate; ranges are filtered to the coprime residues;
+    default is all coprime p in [1, default_span * h]."""
     h = invariants(g).coxeter_number
     if spec is None:
         return list(coprime_range(h, default_span * h))
     values = _parse_p_spec(spec)
-    is_single = "," not in spec and ".." not in spec
-    if is_single:
-        p = values[0]
-        if gcd(p, h) != 1:
-            raise UsageError(f"p = {p} is not coprime to h = {h}")
-        return [p]
+    if "," not in spec and ".." not in spec:
+        return values
     return [p for p in values if gcd(p, h) == 1]
 
 
@@ -178,11 +174,11 @@ def _cmd_fourier(args) -> int:
             lines.append(
                 f"  {label_str(lab):24s} [" + ", ".join(str(c) for c in row) + "]"
             )
-    lines.append(f"T1    : {'pass' if t1.equal else 'FAIL'}")
-    lines.append(f"T2/T3 : {'pass' if t23.equal else 'FAIL'}")
-    for rep in (t1, t23):
-        for f in rep.failures:
-            lines.append(f"  failure: {f}")
+    lines.extend(
+        f"{r.claim:6s}: {'pass' if r.equal else 'FAIL'}"
+        + (f"  witness: {r.witness}" if r.witness else "")
+        for r in (t1, t23)
+    )
     _emit(args, payload, lines)
     return 0 if t1.equal and t23.equal else VERIFY_ERROR
 
@@ -242,16 +238,13 @@ def _cmd_verify(args) -> int:
             raise UsageError("the swap identity is a G(m,1,n) check")
         claims.remove("swap")
     p_list = _resolve_p_list(g, args.p)
-    reports = []
-    for claim in claims:
-        if claim == "main":
-            reports.extend(verify_main(g, p_list))
-        elif claim == "vanishing":
-            reports.extend(verify_vanishing(g, p) for p in p_list)
-        elif claim == "parking":
-            reports.extend(verify_parking(g, p) for p in p_list)
-        elif claim == "swap":
-            reports.extend(verify_transform_swap(g, p) for p in p_list)
+    checks = {
+        "main": lambda g, p: verify_main(g, (p,))[0],
+        "vanishing": verify_vanishing,
+        "parking": verify_parking,
+        "swap": verify_transform_swap,
+    }
+    reports = [checks[claim](g, p) for claim in claims for p in p_list]
     payload = [r.to_json() for r in reports]
     lines = [
         f"{r.claim:10s} p={r.p:<4d} {'pass' if r.equal else 'FAIL'}"

@@ -778,11 +778,7 @@ def eval_at_root(f: LaurentPoly, n: int, k: int) -> Cyclotomic:
     by its root order); otherwise FractionalPowerError is raised and the
     caller should evaluate in y via eval_y_at_root.
     """
-    g = f.in_q()
-    total = ZERO
-    for e, c in g.t.items():
-        total = total + c * cyclo(n, (k * e) % n)
-    return total
+    return eval_y_at_root(f.in_q(), n, k)
 
 
 def eval_y_at_root(f: LaurentPoly, m: int, k: int) -> Cyclotomic:

@@ -25,21 +25,19 @@ used by the trace computation, checked here as verify_transform_swap.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .exactnum import Cyclotomic, LaurentPoly, cyclo, cyclo_rational, eval_at_root
-from .groups import KIND_G1, GroupSpec, invariants
+from .exactnum import Cyclotomic, LaurentPoly, cyclo, cyclo_rational
+from .groups import KIND_G1, GroupSpec
 from .labels import CharLabel, all_labels, label_str
 from .symbols import Family, MSymbol, families, family_of, symbol_of
 from .degrees import all_char_data, tau
-from .catalan import VerificationReport, _check_p, _first_diff
+from .catalan import _DEG, _FEG, VerificationReport, _char_sum, _check_p, _timed
 from .chartable import FiniteGroup, character_table
 
 __all__ = [
     "PairingMatrix",
-    "FourierReport",
     "pairing",
     "pairing_matrix",
     "verify_T1",
@@ -153,86 +151,55 @@ def pairing_matrix(g: GroupSpec, fam: Family) -> PairingMatrix:
     return PairingMatrix(fam, entries)
 
 
-@dataclass(frozen=True)
-class FourierReport:
-    group: str
-    claim: str
-    equal: bool
-    failures: tuple[str, ...]
-    ms: int
-
-    def to_json(self):
-        return {
-            "group": self.group,
-            "p": None,
-            "claim": self.claim,
-            "equal": self.equal,
-            "witness": "; ".join(self.failures) or None,
-            "ms": self.ms,
-        }
-
-
-def verify_T1(g: GroupSpec) -> FourierReport:
+def verify_T1(g: GroupSpec) -> VerificationReport:
     """Exactness of Deg = pairing-transform of Feg, character by
     character."""
-    start = time.perf_counter()
-    data = all_char_data(g)
-    failures = []
-    for fam in families(g):
-        mat = pairing_matrix(g, fam)
-        for i, chi in enumerate(fam.members):
-            total = LaurentPoly({})
-            for j, phi in enumerate(fam.members):
-                total = total + data[phi].feg * mat.entries[i][j]
-            if total != data[chi].deg:
-                failures.append(
-                    f"{label_str(chi)}: transform of fake degrees is {total}, "
-                    f"generic degree is {data[chi].deg}"
-                )
-    ms = int((time.perf_counter() - start) * 1000)
-    return FourierReport(str(g), "T1", not failures, tuple(failures), ms)
+
+    def failures():
+        data = all_char_data(g)
+        for fam in families(g):
+            mat = pairing_matrix(g, fam)
+            for i, chi in enumerate(fam.members):
+                total = LaurentPoly({})
+                for j, phi in enumerate(fam.members):
+                    total = total + data[phi].feg * mat.entries[i][j]
+                if total != data[chi].deg:
+                    yield (
+                        f"{label_str(chi)}: transform of fake degrees is {total}, "
+                        f"generic degree is {data[chi].deg}"
+                    )
+
+    return _timed(g, None, "T1", failures=failures)
 
 
-def pairing_symmetry_report(g: GroupSpec) -> FourierReport:
+def pairing_symmetry_report(g: GroupSpec) -> VerificationReport:
     """T2 (symmetry) and T3 (equal generalized Coxeter number on the
     support), checked over every pair of labels."""
-    start = time.perf_counter()
-    data = all_char_data(g)
-    labs = all_labels(g)
-    failures = []
-    for i, a in enumerate(labs):
-        for b in labs[i:]:
-            ab = pairing(g, a, b)
-            ba = pairing(g, b, a)
-            if ab != ba:
-                failures.append(f"T2: {{{label_str(a)}, {label_str(b)}}}")
-            if not ab.is_zero() and data[a].h_char != data[b].h_char:
-                failures.append(f"T3: {{{label_str(a)}, {label_str(b)}}}")
-    ms = int((time.perf_counter() - start) * 1000)
-    return FourierReport(str(g), "T2/T3", not failures, tuple(failures), ms)
+
+    def failures():
+        data = all_char_data(g)
+        labs = all_labels(g)
+        for i, a in enumerate(labs):
+            for b in labs[i:]:
+                ab = pairing(g, a, b)
+                ba = pairing(g, b, a)
+                if ab != ba:
+                    yield f"T2: {{{label_str(a)}, {label_str(b)}}}"
+                if not ab.is_zero() and data[a].h_char != data[b].h_char:
+                    yield f"T3: {{{label_str(a)}, {label_str(b)}}}"
+
+    return _timed(g, None, "T2/T3", failures=failures)
 
 
 def verify_transform_swap(g: GroupSpec, p: int) -> VerificationReport:
     """The exchange step used by the trace computation: swapping which
     argument is evaluated at zeta_h^p leaves the weighted sum unchanged."""
-    start = time.perf_counter()
-    h = _check_p(g, p)
-    n = g.n
-    data = all_char_data(g)
-    lhs = LaurentPoly({}, "q", h)
-    rhs = LaurentPoly({}, "q", h)
-    for lab, cd in data.items():
-        shift_e = (cd.h_char - n * h) * p
-        feg_at = eval_at_root(cd.feg, h, p)
-        deg_at = eval_at_root(cd.deg, h, p)
-        if not feg_at.is_zero():
-            lhs = lhs + (cd.deg.with_root_order(h) * feg_at).shift(shift_e)
-        if not deg_at.is_zero():
-            rhs = rhs + (cd.feg.with_root_order(h) * deg_at).shift(shift_e)
-    equal = lhs == rhs
-    witness = None if equal else _first_diff(lhs, rhs)
-    ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(str(g), p, "swap", equal, lhs, rhs, witness, ms)
+    _check_p(g, p)
+    return _timed(
+        g, p, "swap",
+        lhs=lambda: _char_sum(g, p, _FEG, _DEG),
+        rhs=lambda: _char_sum(g, p, _DEG, _FEG),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.kind == KIND_G1:
-            if self.n < 1 or self.m < 1 or (self.m < 2 and self.n != 1):
+            if self.n < 1 or self.m < 2:
                 raise ValueError(f"G({self.m},1,{self.n}) is not an irreducible group")
         elif self.kind == KIND_GM:
             if self.m < 2 or self.n < 2 or (self.m, self.n) == (2, 2):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from math import comb, gcd
 
@@ -16,6 +17,9 @@ from spetscat.catalan import (
     verify_parking,
     verify_vanishing,
 )
+
+# the package re-exports the function catalan under the submodule's name
+CATALAN_MODULE = importlib.import_module("spetscat.catalan")
 
 SMALL = [Gm1n(2, 2), Gm1n(3, 2), Gmmn(3, 2), Gmmn(2, 3)]
 
@@ -116,6 +120,31 @@ def test_report_json_shape():
     data = rep.to_json()
     assert set(data) == {"group", "p", "claim", "equal", "lhs", "rhs", "witness", "ms"}
     assert data["equal"] is True and data["claim"] == "main"
+
+
+def test_mismatch_reports_first_differing_term(monkeypatch):
+    g = Gm1n(2, 2)
+    monkeypatch.setattr(
+        CATALAN_MODULE,
+        "closed_form_main",
+        lambda g, p: closed_form_main(g, p) + q_monomial(7),
+    )
+    rep = verify_main(g, [3])[0]
+    assert rep.equal is False
+    assert rep.witness == "q^7: -1"
+    assert rep.lhs == trace_sum(g, 3)
+
+
+def test_inexact_division_becomes_witness_and_keeps_rhs(monkeypatch):
+    g = Gm1n(2, 2)
+    monkeypatch.setattr(
+        CATALAN_MODULE, "poincare", lambda g: poincare(g) + q_monomial(1)
+    )
+    rep = verify_main(g, [3])[0]
+    assert rep.equal is False
+    assert rep.witness.startswith("InexactDivisionError")
+    assert rep.lhs is None
+    assert rep.rhs == closed_form_main(g, 3)
 
 
 def test_type_a_has_catalan_but_no_trace():

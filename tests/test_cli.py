@@ -1,6 +1,14 @@
+import importlib
 import json
 
+import pytest
+
+from spetscat.catalan import closed_form_main
 from spetscat.cli import main
+from spetscat.exactnum import q_monomial
+
+# the package re-exports the function catalan under the submodule's name
+CATALAN_MODULE = importlib.import_module("spetscat.catalan")
 
 
 def run(capsys, *argv):
@@ -30,6 +38,36 @@ def test_invalid_group_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "main", "--group", "G(2,2,2)")
     assert code == 2
     assert "irreducible" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("catalan", "--group", "G(2,1,2)", "--p", "-3"), "positive"),
+        (("trace", "--group", "G(2,1,2)", "--p", "-1"), "positive"),
+        (("verify", "parking", "--group", "G(2,1,2)", "--p", "-3"), "positive"),
+        (("verify", "vanishing", "--group", "G(2,1,2)", "--p", "-3"), "positive"),
+        (("verify", "main", "--group", "G(2,1,2)", "--p", "-3"), "positive"),
+        (("catalan", "--group", "G(1,1,1)", "--p", "1"), "irreducible"),
+        (("verify", "all", "--group", "G(1,1,1)"), "irreducible"),
+    ],
+)
+def test_bad_p_or_trivial_group_is_usage_error(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert needle in err
+    assert out == ""
+
+
+def test_failed_verification_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(
+        CATALAN_MODULE,
+        "closed_form_main",
+        lambda g, p: closed_form_main(g, p) + q_monomial(7),
+    )
+    code, out, _ = run(capsys, "verify", "main", "--group", "G(2,1,2)", "--p", "3")
+    assert code == 1
+    assert "FAIL  witness: q^7: -1" in out
 
 
 def test_non_coprime_single_p_is_usage_error(capsys):
@@ -84,6 +122,9 @@ def test_fourier_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(rep["equal"] for rep in data["reports"])
+    for rep in data["reports"]:
+        assert set(rep) == {"group", "p", "claim", "equal", "lhs", "rhs", "witness", "ms"}
+        assert rep["p"] is None and rep["witness"] is None
     code, _, err = run(capsys, "fourier", "--group", "G(3,3,3)")
     assert code == 2
 

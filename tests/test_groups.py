@@ -40,6 +40,8 @@ def test_irreducibility_guards():
         TypeA(1)
     with pytest.raises(ValueError):
         Gm1n(1, 3)
+    with pytest.raises(ValueError):
+        Gm1n(1, 1)
 
 
 def test_group_parsing():
