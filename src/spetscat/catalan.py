@@ -31,11 +31,11 @@ from .exactnum import (
     FractionalPowerError,
     InexactDivisionError,
     LaurentPoly,
+    _int_exact_div,
+    _poly_mul,
     eval_at_root,
     poly_exact_div,
-    q_int,
     q_monomial,
-    q_poly,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
 from .labels import dimension, exterior_twist_label, label_str
@@ -85,26 +85,40 @@ def _check_p(g: GroupSpec, p: int) -> int:
     return h
 
 
+def _tops(g: GroupSpec, p: int) -> list[int]:
+    """The numerator factors p + (p e_i mod h) of Cat_p(W)."""
+    h = _check_p(g, p)
+    return [p + (p * e) % h for e in invariants(g).exponents]
+
+
+def _catalan_q_coeffs(g: GroupSpec, p: int) -> list[int]:
+    """Cat_p(W; q) as an int list, ascending: prod [t_i]_q divided
+    exactly by prod [d_i]_q, so a non-polynomial value raises
+    InexactDivisionError."""
+    numer = denom = [1]
+    for t in _tops(g, p):
+        numer = _poly_mul(numer, [1] * t)
+    for d in invariants(g).degrees:
+        denom = _poly_mul(denom, [1] * d)
+    return _int_exact_div(numer, denom)
+
+
 def catalan(g: GroupSpec, p: int, q_deformed: bool = False):
     """Cat_p(W) as an exact rational, or its q-deformation as a
     polynomial (computed by exact division, so a non-polynomial value
     cannot slip through silently)."""
-    inv = invariants(g)
-    h = _check_p(g, p)
-    tops = [p + (p * e) % h for e in inv.exponents]
     if not q_deformed:
-        return Fraction(prod(tops), prod(inv.degrees))
-    numer = q_poly([(0, 1)])
-    for t in tops:
-        numer = numer * q_int(t)
-    return poly_exact_div(numer, inv.poincare)
+        return Fraction(prod(_tops(g, p)), prod(invariants(g).degrees))
+    return LaurentPoly(dict(enumerate(_catalan_q_coeffs(g, p))))
 
 
 def closed_form_main(g: GroupSpec, p: int) -> LaurentPoly:
     """q^(-np) (1-q)^n Cat_p(W; q), a Laurent polynomial in q."""
     n = g.rank
-    cat = catalan(g, p, q_deformed=True)
-    return cat * (1 - q_monomial(1)) ** n * q_monomial(-n * p)
+    coeffs = _catalan_q_coeffs(g, p)
+    for _ in range(n):
+        coeffs = _poly_mul(coeffs, [1, -1])
+    return LaurentPoly({i - n * p: c for i, c in enumerate(coeffs)})
 
 
 def _first_diff(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:

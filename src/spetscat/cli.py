@@ -67,7 +67,22 @@ def _resolve_p_list(g: GroupSpec, spec: str | None, default_span: int = 3) -> li
     values = _parse_p_spec(spec)
     if "," not in spec and ".." not in spec:
         return values
-    return [p for p in values if gcd(p, h) == 1]
+    kept = [p for p in values if gcd(p, h) == 1]
+    if not kept:
+        raise UsageError(f"no p in {spec!r} is coprime to the Coxeter number h = {h}")
+    return kept
+
+
+def _join_negative_p(argv: list[str]) -> list[str]:
+    """`--p -3..3` as `--p=-3..3`: argparse reads a value that starts
+    with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--p" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--p={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _need_labels(g: GroupSpec):
@@ -306,6 +321,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_p(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

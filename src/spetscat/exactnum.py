@@ -9,11 +9,22 @@ Elements at different conductors are compared and combined after lifting
 both to the least common multiple conductor; results are not demoted to a
 smaller conductor.
 
+A rational operand (conductor 1) of a product scales the other
+operand's coefficients in place of the lift; the product keeps the other
+operand's conductor, as the lift would give it.
+
 A `LaurentPoly` is a Laurent polynomial in one variable with Cyclotomic
 coefficients.  Fractional powers of the nominal variable q are realized
 through a declared `root_order` D: the terms live in integer powers of
 y = q^(1/D).  When every exponent is divisible by D the value is an
 honest Laurent polynomial in q.
+
+`poly_exact_div` divides dense `int` lists when every coefficient of
+both operands is an integer, each operand's coefficients share one
+conductor and the divisor's leading coefficient is +-1 (Poincare
+polynomials, q-integers, (q-1)^n, products of q^k - 1).  Its quotient
+is written over the lcm of the two conductors, which is where the
+Cyclotomic division loop, kept for every other operand, leaves it.
 
 There is no floating point anywhere in this module.
 """
@@ -154,10 +165,11 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return _trim(q), r
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a: list, b: list) -> list:
+    """Product of dense polynomials; int lists stay int."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -172,6 +184,32 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     for i, y in enumerate(b):
         out[i] -= y
     return _trim(out)
+
+
+def _int_exact_div(a: list[int], b: list[int], offset: int = 0) -> list[int]:
+    """Exact quotient a / b of dense int polynomials (ascending), where b
+    has leading coefficient +-1, so the quotient stays integral.
+
+    Raises InexactDivisionError on a nonzero remainder, naming its lowest
+    exponent plus `offset`.
+    """
+    lead, db = b[-1], len(b) - 1
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    rem = a + [0] * max(0, db - len(a))
+    quot = [0] * max(0, len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            f = c * lead
+            quot[i] = f
+            for j, bc in terms:
+                rem[i + j] -= f * bc
+    for i in range(db):
+        if rem[i]:
+            raise InexactDivisionError(
+                f"remainder has a nonzero term at exponent {i + offset}"
+            )
+    return quot
 
 
 def _solve_exact(mat: list[list[Fraction]], ncols: int):
@@ -323,17 +361,22 @@ class Cyclotomic:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, f) -> Cyclotomic:
+        if not f:
+            return Cyclotomic(self.n, {}, reduced=True)
+        return Cyclotomic(self.n, {e: c * f for e, c in self.c.items()}, reduced=True)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if not f:
-                return Cyclotomic(self.n, {}, reduced=True)
-            return Cyclotomic(
-                self.n, {e: c * f for e, c in self.c.items()}, reduced=True
-            )
-        a, b = self._common(other)
-        if a is NotImplemented:
+            return self._scaled(_as_fraction(other))
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
+        # a rational operand scales the other: no lift, no reduction
+        if other.n == 1:
+            return self._scaled(other.c.get(0, 0))
+        if self.n == 1:
+            return other._scaled(self.c.get(0, 0))
+        a, b = self._common(other)
         acc: dict[int, Fraction] = {}
         for e1, c1 in a.c.items():
             for e2, c2 in b.c.items():
@@ -730,18 +773,54 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     Raises InexactDivisionError when den does not divide num (a
     mathematical finding, e.g. a failure of spetsiality), and
-    ZeroDivisionError when den is zero.
+    ZeroDivisionError when den is zero.  Integer operands with a unit
+    leading divisor coefficient are divided as int lists; all others go
+    through the Cyclotomic loop.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     a, b = num._common(den)
     if num.is_zero():
         return LaurentPoly({}, a.var, a.root_order)
-    # shift both to honest polynomials with nonzero constant terms
+    sa, sb = a.min_exp(), b.min_exp()
+    if a.max_exp() - sa < b.max_exp() - sb:
+        raise InexactDivisionError(f"degree of {den} exceeds degree of {num}")
+    int_a, int_b = _int_dense(a), _int_dense(b)
+    if int_a is None or int_b is None or int_b[1][-1] not in (1, -1):
+        return _cyclotomic_exact_div(a, b)
+    (na, A), (nb, B) = int_a, int_b
+    n = na * nb // gcd(na, nb)
+    return LaurentPoly(
+        {
+            i + sa - sb: Cyclotomic(n, {0: Fraction(c)}, reduced=True)
+            for i, c in enumerate(_int_exact_div(A, B, sa))
+            if c
+        },
+        a.var,
+        a.root_order,
+    )
+
+
+def _int_dense(f: LaurentPoly) -> tuple[int, list[int]] | None:
+    """(conductor, coefficients from the lowest exponent up) when every
+    coefficient of the nonzero f is an integer and all share one
+    conductor; None otherwise."""
+    lo = f.min_exp()
+    out = [0] * (f.max_exp() - lo + 1)
+    n = f.t[lo].n
+    for e, c in f.t.items():
+        v = c.c.get(0)
+        if c.n != n or len(c.c) != 1 or v is None or v.denominator != 1:
+            return None
+        out[e - lo] = v.numerator
+    return n, out
+
+
+def _cyclotomic_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The division loop over Cyclotomic coefficients, for a nonzero a
+    and b at one root order with deg a >= deg b."""
     sa, sb = a.min_exp(), b.min_exp()
     da, db = a.max_exp() - sa, b.max_exp() - sb
-    if da < db:
-        raise InexactDivisionError(f"degree of {den} exceeds degree of {num}")
     A = [ZERO] * (da + 1)
     for e, c in a.t.items():
         A[e - sa] = c

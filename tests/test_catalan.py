@@ -4,7 +4,8 @@ from math import comb, gcd
 
 import pytest
 
-from spetscat.exactnum import eval_at_root, poly_exact_div, q_monomial, q_poly
+from spetscat import exactnum
+from spetscat.exactnum import eval_at_root, poly_exact_div, q_int, q_monomial, q_poly
 from spetscat.groups import Gm1n, Gmmn, TypeA, invariants
 from spetscat.labels import all_labels
 from spetscat.degrees import all_char_data, poincare
@@ -43,6 +44,29 @@ def test_q_catalan_at_one_is_plain():
         for p in coprime_range(h, 2 * h):
             q_version = catalan(g, p, q_deformed=True)
             assert q_version.value_at_one().as_fraction() == catalan(g, p)
+
+
+ACCEPTANCE_GROUPS = [
+    Gm1n(2, 2), Gm1n(2, 3), Gm1n(3, 2), Gm1n(3, 3), Gm1n(4, 2),
+    Gmmn(2, 3), Gmmn(3, 2), Gmmn(3, 3), Gmmn(4, 3),
+]
+
+
+@pytest.mark.parametrize("g", ACCEPTANCE_GROUPS, ids=str)
+def test_int_closed_form_matches_q_int_products(g):
+    """The int-list Catalan side against the LaurentPoly construction:
+    prod [t_i]_q through the Cyclotomic division loop, times (1-q)^n."""
+    inv = invariants(g)
+    h, n = inv.coxeter_number, g.rank
+    ps = coprime_range(h, 6 * h)
+    for p in (ps[0], ps[len(ps) // 2], ps[-1]):
+        numer = q_poly([(0, 1)])
+        for e in inv.exponents:
+            numer = numer * q_int(p + (p * e) % h)
+        cat = exactnum._cyclotomic_exact_div(numer, inv.poincare)
+        closed = cat * (1 - q_monomial(1)) ** n * q_monomial(-n * p)
+        assert catalan(g, p, q_deformed=True).to_json() == cat.to_json()
+        assert closed_form_main(g, p).to_json() == closed.to_json()
 
 
 def test_trace_sum_examples():

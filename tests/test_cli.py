@@ -50,6 +50,10 @@ def test_invalid_group_is_usage_error(capsys):
         (("verify", "main", "--group", "G(2,1,2)", "--p", "-3"), "positive"),
         (("catalan", "--group", "G(1,1,1)", "--p", "1"), "irreducible"),
         (("verify", "all", "--group", "G(1,1,1)"), "irreducible"),
+        (("verify", "main", "--group", "G(2,1,2)", "--p", "-3..3"), "p = -3 must be a positive"),
+        (("trace", "--group", "G(2,1,2)", "--p", "-3..3"), "p = -3 must be a positive"),
+        (("verify", "main", "--group", "G(2,1,2)", "--p", "2,4"), "'2,4'"),
+        (("catalan", "--group", "G(2,1,2)", "--p", "2..2"), "h = 4"),
     ],
 )
 def test_bad_p_or_trivial_group_is_usage_error(capsys, argv, needle):

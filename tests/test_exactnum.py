@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spetscat import exactnum
 from spetscat.exactnum import (
     Cyclotomic,
     FractionalPowerError,
@@ -162,3 +166,123 @@ def test_eval_is_ring_homomorphism_randomized():
         ev = lambda h: eval_at_root(h, root_n, k)
         assert ev(f * g) == ev(f) * ev(g)
         assert ev(f + g) == ev(f) + ev(g)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the reference routes
+
+
+def _lift_multiply(x, y):
+    """The product by lifting both operands to the lcm conductor and
+    reducing the convolution: the route a rational operand skips."""
+    m = lcm(x.n, y.n)
+    acc = {}
+    for e1, c1 in x.lift(m).c.items():
+        for e2, c2 in y.lift(m).c.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return Cyclotomic(m, acc)
+
+
+def test_rational_times_cyclotomic_matches_lift_multiply():
+    rng = random.Random(404)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24])
+        x = _random_cyclotomic(rng, n)
+        r = cyclo_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for prod, ref in ((r * x, _lift_multiply(r, x)), (x * r, _lift_multiply(x, r))):
+            assert (prod.n, prod.c) == (ref.n, ref.c)
+
+
+def _int_laurent(coeffs, conductor, low=0):
+    """LaurentPoly with integer coefficients, all written over one
+    conductor."""
+    return LaurentPoly(
+        {
+            low + i: Cyclotomic(conductor, {0: Fraction(c)}, reduced=True)
+            for i, c in enumerate(coeffs)
+            if c
+        }
+    )
+
+
+def _outcome(num, den):
+    """The quotient's JSON, or the InexactDivisionError message."""
+    try:
+        return poly_exact_div(num, den).to_json()
+    except InexactDivisionError as exc:
+        return f"inexact: {exc}"
+
+
+def _both_routes(num, den):
+    """(outcome on the int path, which must be taken, outcome with every
+    division sent through the Cyclotomic loop)."""
+    with mock.patch.object(
+        exactnum, "_cyclotomic_exact_div", side_effect=AssertionError("took the loop")
+    ):
+        fast = _outcome(num, den)
+    with mock.patch.object(exactnum, "_int_dense", return_value=None):
+        return fast, _outcome(num, den)
+
+
+def _check_int_division(quot, num_n, den, den_n, low, bump):
+    """quot * den, written over conductor num_n, divided by den over
+    den_n; then the same dividend plus bump = (exponent, coefficient)."""
+    den_poly = _int_laurent(den, den_n)
+    product = exactnum._poly_mul(quot, den)
+    num = _int_laurent(product, num_n, low)
+    fast, ref = _both_routes(num, den_poly)
+    assert fast == ref
+    assert fast == _int_laurent(quot, lcm(num_n, den_n), low).to_json()
+    e, c = bump
+    product[e] += c
+    perturbed = _int_laurent(product, num_n, low)
+    # a divisor prime to q divides no monomial, so both routes must fail
+    fast, ref = _both_routes(perturbed, den_poly)
+    assert fast == ref and fast.startswith("inexact: "), fast
+
+
+CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
+
+
+def test_int_division_matches_cyclotomic_loop_randomized():
+    rng = random.Random(505)
+    for _ in range(150):
+        quot = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        quot[0], quot[-1] = quot[0] or -1, quot[-1] or 1
+        den = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))] + [rng.choice([1, -1])]
+        den[0] = den[0] or 1
+        bump = (rng.randrange(len(den) - 1), rng.choice([-2, -1, 1, 2]))
+        _check_int_division(
+            quot, rng.choice(CONDUCTORS), den, rng.choice(CONDUCTORS),
+            rng.randint(-5, 5), bump,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    quot=st.lists(st.integers(-50, 50), min_size=1, max_size=10).filter(lambda q: q[0] and q[-1]),
+    lower=st.lists(st.integers(-10, 10), min_size=2, max_size=6).filter(lambda d: d[0]),
+    lead=st.sampled_from([1, -1]),
+    conductors=st.tuples(st.sampled_from(CONDUCTORS), st.sampled_from(CONDUCTORS)),
+    shift=st.integers(-6, 6),
+    bump=st.tuples(st.integers(0, 1), st.integers(1, 5)),
+)
+def test_int_division_matches_cyclotomic_loop_hypothesis(
+    quot, lower, lead, conductors, shift, bump
+):
+    _check_int_division(quot, conductors[0], lower + [lead], conductors[1], shift, bump)
+
+
+def test_other_operands_take_the_loop():
+    """A non-unit leading divisor coefficient, a non-integer coefficient,
+    or integers over two conductors in one operand."""
+    loop = exactnum._cyclotomic_exact_div
+    with mock.patch.object(exactnum, "_cyclotomic_exact_div", side_effect=loop) as spy:
+        den = q_poly([(0, 1), (1, 2)])
+        assert poly_exact_div(q_int(3) * den, den) == q_int(3)
+        half = q_poly([(0, Fraction(1, 2)), (1, 1)])
+        assert poly_exact_div(half * q_int(2), q_int(2)) == half
+        # the loop leaves this quotient over conductor 1, not lcm(4, 1)
+        mixed = LaurentPoly({0: _int_laurent([1], 4).coeff(0), 1: 1})
+        assert poly_exact_div(mixed, q_int(2)).to_json() == q_int(1).to_json()
+        assert spy.call_count == 3
