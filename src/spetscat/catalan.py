@@ -24,18 +24,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import attrgetter
 
 from .exactnum import (
+    Cyclotomic,
     FractionalPowerError,
     InexactDivisionError,
     LaurentPoly,
     _int_exact_div,
+    _mul_q_int,
     _poly_mul,
     eval_at_root,
     poly_exact_div,
-    q_monomial,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
 from .labels import dimension, exterior_twist_label, label_str
@@ -97,9 +98,9 @@ def _catalan_q_coeffs(g: GroupSpec, p: int) -> list[int]:
     InexactDivisionError."""
     numer = denom = [1]
     for t in _tops(g, p):
-        numer = _poly_mul(numer, [1] * t)
+        numer = _mul_q_int(numer, t)
     for d in invariants(g).degrees:
-        denom = _poly_mul(denom, [1] * d)
+        denom = _mul_q_int(denom, d)
     return _int_exact_div(numer, denom)
 
 
@@ -143,17 +144,38 @@ def _dim(cd) -> LaurentPoly:
 def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
     """sum over characters of
     y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
-    in the root variable y with y^h = q.  Callers validate p."""
+    in the root variable y with y^h = q.  Callers validate p.
+
+    Each coefficient of the sum is gathered unreduced, as exponents of
+    zeta_L with L the lcm of h and every conductor that occurs, and
+    reduced once at the end.
+    """
     h = invariants(g).coxeter_number
     nh = g.n * h
-    total = LaurentPoly({}, "q", h)
+    terms = []
     for cd in all_char_data(g).values():
         scalar = eval_at_root(at_root(cd), h, p)
-        if scalar.is_zero():
-            continue
-        term = weight(cd).with_root_order(h) * scalar
-        total = total + term.shift((cd.h_char - nh) * p)
-    return total
+        if not scalar.is_zero():
+            terms.append((weight(cd), scalar, (cd.h_char - nh) * p))
+    n = lcm(
+        h,
+        *(s.n for _, s, _ in terms),
+        *(c.n for w, _, _ in terms for c in w.t.values()),
+    )
+    slots: dict[int, dict[int, Fraction]] = {}
+    for w, s, shift in terms:
+        step, rest = divmod(h, w.root_order)
+        if rest:
+            raise ValueError(f"root_order {h} is not a multiple of {w.root_order}")
+        s_lifted = [(i * (n // s.n), v) for i, v in s.c.items()]
+        for e, c in w.t.items():
+            slot = slots.setdefault(e * step + shift, {})
+            lift = n // c.n
+            for j, u in c.c.items():
+                for i, v in s_lifted:
+                    x = (j * lift + i) % n
+                    slot[x] = slot.get(x, 0) + u * v
+    return LaurentPoly({e: Cyclotomic(n, acc) for e, acc in slots.items()}, "q", h)
 
 
 def _timed(
@@ -244,5 +266,13 @@ def verify_parking(g: GroupSpec, p: int) -> VerificationReport:
     return _timed(
         g, p, "parking",
         lhs=lambda: _char_sum(g, -p, _FEG, _dim).in_q(),
-        rhs=lambda: (q_monomial(p) - 1) ** g.n,
+        rhs=lambda: _q_power_minus_one(p, g.n),
     )
+
+
+def _q_power_minus_one(p: int, n: int) -> LaurentPoly:
+    """(q^p - 1)^n, multiplied out in int lists."""
+    coeffs = [1]
+    for _ in range(n):
+        coeffs = _poly_mul(coeffs, [-1] + [0] * (p - 1) + [1])
+    return LaurentPoly({e: c for e, c in enumerate(coeffs) if c})

@@ -11,7 +11,9 @@ smaller conductor.
 
 A rational operand (conductor 1) of a product scales the other
 operand's coefficients in place of the lift; the product keeps the other
-operand's conductor, as the lift would give it.
+operand's conductor, as the lift would give it.  A rational is {0: v} at
+every conductor, so equality with a rational, or at one conductor,
+compares the maps without a lift.
 
 A `LaurentPoly` is a Laurent polynomial in one variable with Cyclotomic
 coefficients.  Fractional powers of the nominal variable q are realized
@@ -26,13 +28,17 @@ polynomials, q-integers, (q-1)^n, products of q^k - 1).  Its quotient
 is written over the lcm of the two conductors, which is where the
 Cyclotomic division loop, kept for every other operand, leaves it.
 
+Evaluation at a root of unity reduces once: every term is added as
+exponents of zeta_L, L the lcm of the root's order and the coefficients'
+conductors, and only the sum is reduced modulo Phi_L.
+
 There is no floating point anywhere in this module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Cyclotomic",
@@ -174,6 +180,21 @@ def _poly_mul(a: list, b: list) -> list:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return _trim(out)
+
+
+def _mul_q_int(a: list[int], t: int) -> list[int]:
+    """a * [t]_q, i.e. a times 1 + q + ... + q^(t-1), for an int list a,
+    by a running sum over a window of t coefficients."""
+    if not a or t < 1:
+        return []
+    padded = a + [0] * (t - 1)
+    out, s = [], 0
+    for i, x in enumerate(padded):
+        s += x
+        if i >= t:
+            s -= padded[i - t]
+        out.append(s)
     return _trim(out)
 
 
@@ -451,9 +472,13 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.rational(other)
+            return self.c == ({0: other} if other else {})
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        # a rational is {0: v} at every conductor: only two non-rational
+        # conductors that differ need the lift
+        if self.n == other.n or self.n == 1 or other.n == 1:
+            return self.c == other.c
         a, b = self._common(other)
         return a.c == b.c
 
@@ -725,10 +750,7 @@ class LaurentPoly:
         }
 
     def value_at_one(self) -> Cyclotomic:
-        total = ZERO
-        for c in self.t.values():
-            total = total + c
-        return total
+        return eval_y_at_root(self, 1, 0)
 
     def derivative_at_one(self) -> Cyclotomic:
         """d/dy at y = 1 (for q-polynomials with root_order 1 this is the
@@ -861,8 +883,21 @@ def eval_at_root(f: LaurentPoly, n: int, k: int) -> Cyclotomic:
 
 
 def eval_y_at_root(f: LaurentPoly, m: int, k: int) -> Cyclotomic:
-    """Evaluate in the root variable: substitute y = zeta_m^k."""
-    total = ZERO
+    """Evaluate in the root variable: substitute y = zeta_m^k.
+
+    Every term is added as exponents of zeta_L, L the lcm of m and the
+    coefficients' conductors, and the sum is reduced once; the value is
+    at conductor L, or 1 for the zero polynomial.
+    """
+    if not f.t:
+        return ZERO
+    n = lcm(m, *(c.n for c in f.t.values()))
+    step = n // m
+    acc: dict[int, Fraction] = {}
     for e, c in f.t.items():
-        total = total + c * cyclo(m, (k * e) % m)
-    return total
+        shift = (k * e) % m * step
+        lift = n // c.n
+        for j, v in c.c.items():
+            x = (j * lift + shift) % n
+            acc[x] = acc.get(x, 0) + v
+    return Cyclotomic(n, acc)

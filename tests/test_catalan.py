@@ -5,7 +5,7 @@ from math import comb, gcd
 import pytest
 
 from spetscat import exactnum
-from spetscat.exactnum import eval_at_root, poly_exact_div, q_int, q_monomial, q_poly
+from spetscat.exactnum import LaurentPoly, poly_exact_div, q_int, q_monomial, q_poly
 from spetscat.groups import Gm1n, Gmmn, TypeA, invariants
 from spetscat.labels import all_labels
 from spetscat.degrees import all_char_data, poincare
@@ -121,20 +121,12 @@ def test_swap_route_gives_same_trace():
     """Evaluating the fake degrees at the root and keeping generic degrees
     polynomial agrees with the swapped evaluation, after dividing by the
     Poincare polynomial."""
-    from spetscat.exactnum import LaurentPoly
-
     for g in (Gm1n(2, 2), Gm1n(3, 2)):
         h = invariants(g).coxeter_number
-        n = g.n
-        data = all_char_data(g)
         for p in coprime_range(h, h):
-            swapped = LaurentPoly({}, "q", h)
-            for lab, cd in data.items():
-                deg_at = eval_at_root(cd.deg, h, p)
-                if deg_at.is_zero():
-                    continue
-                term = cd.feg.with_root_order(h) * deg_at
-                swapped = swapped + term.shift((cd.h_char - n * h) * p)
+            swapped = _char_sum_term_by_term(
+                g, p, CATALAN_MODULE._DEG, CATALAN_MODULE._FEG
+            )
             quotient = poly_exact_div(swapped, poincare(g).with_root_order(h))
             assert quotient.in_q() == trace_sum(g, p)
 
@@ -175,3 +167,69 @@ def test_type_a_has_catalan_but_no_trace():
     assert catalan(TypeA(4), 5, q_deformed=True).value_at_one().as_fraction() == 14
     with pytest.raises(ValueError):
         trace_sum(TypeA(3), 2)
+
+
+# ---------------------------------------------------------------------------
+# one reduction per coefficient against the term-by-term loops
+
+
+def _char_sum_term_by_term(g, p, at_root, weight):
+    """The character sum with one reduced Cyclotomic per term: each value
+    at the root summed term by term, each weighted polynomial built as a
+    LaurentPoly, shifted and added."""
+    h = invariants(g).coxeter_number
+    total = LaurentPoly({}, "q", h)
+    for cd in all_char_data(g).values():
+        scalar = exactnum.ZERO
+        for e, c in at_root(cd).in_q().t.items():
+            scalar = scalar + c * exactnum.cyclo(h, (p * e) % h)
+        if scalar.is_zero():
+            continue
+        term = weight(cd).with_root_order(h) * scalar
+        total = total + term.shift((cd.h_char - g.n * h) * p)
+    return total
+
+
+WEIGHTS = [
+    (CATALAN_MODULE._FEG, CATALAN_MODULE._DEG),
+    (CATALAN_MODULE._DEG, CATALAN_MODULE._FEG),
+    (CATALAN_MODULE._FEG, CATALAN_MODULE._dim),
+]
+
+
+@pytest.mark.parametrize("g", ACCEPTANCE_GROUPS, ids=str)
+def test_char_sum_matches_term_by_term(g):
+    h = invariants(g).coxeter_number
+    for p in coprime_range(h, 6 * h):
+        for sp in (p, -p):
+            for at_root, weight in WEIGHTS:
+                fast = CATALAN_MODULE._char_sum(g, sp, at_root, weight)
+                ref = _char_sum_term_by_term(g, sp, at_root, weight)
+                assert fast.to_json() == ref.to_json(), (sp, at_root, weight)
+
+
+def test_parking_rhs_matches_laurent_power():
+    for n in range(6):
+        for p in range(1, 25):
+            expect = (q_monomial(p) - 1) ** n
+            assert CATALAN_MODULE._q_power_minus_one(p, n).to_json() == expect.to_json()
+
+
+STRETCH = [
+    Gm1n(2, 4), Gmmn(3, 4), Gmmn(4, 3), Gm1n(4, 2), Gm1n(4, 3), Gm1n(3, 4), Gm1n(5, 2),
+]
+
+
+@pytest.mark.parametrize("g", STRETCH, ids=str)
+def test_catalan_coeffs_match_convolved_q_ints(g):
+    """The running-sum [t]_q products against convolution by [1] * t."""
+    inv = invariants(g)
+    h = inv.coxeter_number
+    for p in coprime_range(h, 12 * h - 1):
+        numer = denom = [1]
+        for e in inv.exponents:
+            numer = exactnum._poly_mul(numer, [1] * (p + (p * e) % h))
+        for d in inv.degrees:
+            denom = exactnum._poly_mul(denom, [1] * d)
+        ref = exactnum._int_exact_div(numer, denom)
+        assert CATALAN_MODULE._catalan_q_coeffs(g, p) == ref, p

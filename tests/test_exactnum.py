@@ -286,3 +286,165 @@ def test_other_operands_take_the_loop():
         mixed = LaurentPoly({0: _int_laurent([1], 4).coeff(0), 1: 1})
         assert poly_exact_div(mixed, q_int(2)).to_json() == q_int(1).to_json()
         assert spy.call_count == 3
+
+
+# ---------------------------------------------------------------------------
+# one reduction per value against the term-by-term loops
+
+
+def _eval_y_term_by_term(f, m, k):
+    """Evaluation at y = zeta_m^k with one lift and one reduction per term."""
+    total = exactnum.ZERO
+    for e, c in f.t.items():
+        total = total + c * cyclo(m, (k * e) % m)
+    return total
+
+
+def _sum_term_by_term(f):
+    total = exactnum.ZERO
+    for c in f.t.values():
+        total = total + c
+    return total
+
+
+def _same(x, y):
+    assert (x.n, x.c) == (y.n, y.c), (x.to_json(), y.to_json())
+
+
+MIXED = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24]
+
+
+def _mixed_laurent(rng):
+    """Coefficients over independent conductors, exponents of both signs."""
+    return LaurentPoly(
+        {
+            rng.randint(-7, 7): _random_cyclotomic(rng, rng.choice(MIXED))
+            for _ in range(rng.randint(0, 5))
+        },
+        root_order=rng.choice([1, 2, 3]),
+    )
+
+
+def _check_eval(f, m, k):
+    _same(eval_y_at_root(f, m, k), _eval_y_term_by_term(f, m, k))
+
+
+def test_eval_y_matches_term_by_term_examples():
+    # a conductor that does not divide m, a negative exponent and k < 0
+    f = LaurentPoly({-3: cyclo(12, 5), 2: cyclo_rational(Fraction(-2, 3)), 4: cyclo(5, 2)})
+    for k in (-7, -1, 0, 1, 3):
+        _check_eval(f, 5, k)
+    assert eval_y_at_root(f, 5, 1).n == 60
+    # the empty polynomial is the rational zero
+    empty = LaurentPoly({})
+    _check_eval(empty, 8, 3)
+    assert eval_y_at_root(empty, 8, 3).n == 1
+    # terms that cancel keep the lcm conductor
+    cancel = LaurentPoly({0: cyclo(3, 1), 3: -cyclo(3, 1)})
+    _same(eval_y_at_root(cancel, 3, 1), Cyclotomic(3, {}))
+
+
+def test_eval_y_matches_term_by_term_randomized():
+    rng = random.Random(606)
+    for _ in range(300):
+        _check_eval(_mixed_laurent(rng), rng.choice(MIXED), rng.randint(-30, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.integers(-12, 12),
+        st.tuples(
+            st.sampled_from(MIXED),
+            st.dictionaries(
+                st.integers(0, 23),
+                st.fractions(max_denominator=6),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        max_size=5,
+    ),
+    m=st.sampled_from(MIXED),
+    k=st.integers(-50, 50),
+)
+def test_eval_y_matches_term_by_term_hypothesis(terms, m, k):
+    f = LaurentPoly(
+        {e: Cyclotomic(n, {j % n: v for j, v in c.items()}) for e, (n, c) in terms.items()}
+    )
+    _check_eval(f, m, k)
+
+
+def test_value_at_one_matches_term_by_term():
+    rng = random.Random(707)
+    for _ in range(100):
+        f = _mixed_laurent(rng)
+        _same(f.value_at_one(), _sum_term_by_term(f))
+
+
+# ---------------------------------------------------------------------------
+# equality against the lift
+
+
+def _lifted_eq(x, y):
+    m = lcm(x.n, y.n)
+    return x.lift(m).c == y.lift(m).c
+
+
+def test_equality_with_a_rational_skips_the_lift():
+    half = Fraction(1, 2)
+    cases = [
+        (Cyclotomic(8, {0: 1, 2: 1}), cyclo_rational(1), False),
+        (Cyclotomic(8, {0: 1, 2: 1}), 1, False),
+        (Cyclotomic(9, {}), exactnum.ZERO, True),
+        (Cyclotomic(9, {}), 0, True),
+        (Cyclotomic(12, {0: half}), half, True),
+        (Cyclotomic(12, {0: half}), cyclo_rational(half), True),
+        (Cyclotomic(12, {0: half}), Cyclotomic(12, {0: half, 1: 1}), False),
+    ]
+    with mock.patch.object(Cyclotomic, "lift", side_effect=AssertionError("lifted")):
+        for x, y, equal in cases:
+            assert (x == y) is equal and (y == x) is equal
+            assert (x != y) is not equal
+    for x, y, equal in cases:
+        if isinstance(y, Cyclotomic):
+            assert _lifted_eq(x, y) is equal
+
+
+def test_equality_across_non_rational_conductors_lifts():
+    lift = Cyclotomic.lift
+    with mock.patch.object(Cyclotomic, "lift", autospec=True, side_effect=lift) as spy:
+        assert cyclo(4, 1) == cyclo(8, 2)
+        assert cyclo(4, 1) != cyclo(8, 1)
+        assert spy.call_count == 4
+
+
+def test_equality_matches_lift_randomized():
+    rng = random.Random(808)
+    for _ in range(300):
+        x = _random_cyclotomic(rng, rng.choice(MIXED))
+        if rng.random() < 0.3:
+            x = cyclo_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        y = x.lift(x.n * rng.choice([1, 2, 3])) if rng.random() < 0.5 else (
+            _random_cyclotomic(rng, rng.choice(MIXED))
+        )
+        assert (x == y) is _lifted_eq(x, y)
+        assert (y == x) is _lifted_eq(x, y)
+
+
+# ---------------------------------------------------------------------------
+# q-integer products by running sums
+
+
+def test_q_int_product_matches_convolution_randomized():
+    rng = random.Random(909)
+    for _ in range(300):
+        a = [rng.randint(-5, 5) for _ in range(rng.randint(0, 12))]
+        t = rng.randint(0, 15)
+        assert exactnum._mul_q_int(a, t) == exactnum._poly_mul(a, [1] * t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(st.integers(-100, 100), max_size=30), t=st.integers(0, 40))
+def test_q_int_product_matches_convolution_hypothesis(a, t):
+    assert exactnum._mul_q_int(a, t) == exactnum._poly_mul(a, [1] * t)
