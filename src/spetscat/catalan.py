@@ -17,15 +17,25 @@ coefficient, reporting the first differing term on any mismatch.  The
 companion checks are the vanishing of generic degrees at zeta_h^p away
 from exterior-twist labels and the parking-function count
 (q^p - 1)^n; everything is exact, nothing is numeric.
+
+The scalar depends on p only through p mod h.  So each group keeps a
+table of every character's Feg and Deg at zeta_h^r, one row per residue
+r that a check has asked for (at most phi(h) rows), and vanishing, the
+trace, parking and the swap all read it.  The character sum runs in
+Python ints: every scalar and weight coefficient is scaled over one
+common denominator, and each output coefficient is gathered as
+exponents of a root of unity, reduced once and divided by the scale
+once.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, lcm, prod
 from operator import attrgetter
+from typing import NamedTuple
 
 from .exactnum import (
     Cyclotomic,
@@ -33,13 +43,15 @@ from .exactnum import (
     InexactDivisionError,
     LaurentPoly,
     _int_exact_div,
+    _int_poly,
     _mul_q_int,
     _poly_mul,
+    _reduce,
     eval_at_root,
     poly_exact_div,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
-from .labels import dimension, exterior_twist_label, label_str
+from .labels import CharLabel, dimension, exterior_twist_label, label_str
 from .degrees import all_char_data, poincare
 
 __all__ = [
@@ -110,7 +122,7 @@ def catalan(g: GroupSpec, p: int, q_deformed: bool = False):
     cannot slip through silently)."""
     if not q_deformed:
         return Fraction(prod(_tops(g, p)), prod(invariants(g).degrees))
-    return LaurentPoly(dict(enumerate(_catalan_q_coeffs(g, p))))
+    return _int_poly(_catalan_q_coeffs(g, p))
 
 
 def closed_form_main(g: GroupSpec, p: int) -> LaurentPoly:
@@ -119,7 +131,7 @@ def closed_form_main(g: GroupSpec, p: int) -> LaurentPoly:
     coeffs = _catalan_q_coeffs(g, p)
     for _ in range(n):
         coeffs = _poly_mul(coeffs, [1, -1])
-    return LaurentPoly({i - n * p: c for i, c in enumerate(coeffs)})
+    return _int_poly(coeffs, -n * p)
 
 
 def _first_diff(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
@@ -133,12 +145,40 @@ def _first_diff(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
     return f"{frac}: {diff.coeff(e)}"
 
 
+class _AtRoot(NamedTuple):
+    """One character's fake and generic degree at a root of unity."""
+
+    feg: Cyclotomic
+    deg: Cyclotomic
+
+
 _FEG = attrgetter("feg")
 _DEG = attrgetter("deg")
 
 
+@lru_cache(maxsize=None)
+def _values_at(g: GroupSpec, r: int) -> tuple[_AtRoot, ...]:
+    """Feg and Deg of every character, in all_char_data order, at
+    zeta_h^r for a residue 0 <= r < h.
+
+    A value at zeta_h^p depends on p only through p mod h, conductor
+    included, so every p with p % h == r reads this row.
+    """
+    h = invariants(g).coxeter_number
+    return tuple(
+        _AtRoot(eval_at_root(cd.feg, h, r), eval_at_root(cd.deg, h, r))
+        for cd in all_char_data(g).values()
+    )
+
+
+@lru_cache(maxsize=None)
+def _dimension_poly(lab: CharLabel) -> LaurentPoly:
+    """A character's degree as a constant polynomial: the parking weight."""
+    return _int_poly([dimension(lab)])
+
+
 def _dim(cd) -> LaurentPoly:
-    return LaurentPoly({0: dimension(cd.label)})
+    return _dimension_poly(cd.label)
 
 
 def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
@@ -146,15 +186,18 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
     y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
     in the root variable y with y^h = q.  Callers validate p.
 
-    Each coefficient of the sum is gathered unreduced, as exponents of
-    zeta_L with L the lcm of h and every conductor that occurs, and
-    reduced once at the end.
+    `at_root` reads a character's row of _values_at.  Each coefficient
+    of the sum is gathered unreduced, as exponents of zeta_L with L the
+    lcm of h and every conductor that occurs.  Every scalar and weight
+    coefficient is scaled to an int over one common denominator D, so
+    the slots sum ints that carry D^2; each slot is reduced once and
+    divided by D^2 once.
     """
     h = invariants(g).coxeter_number
     nh = g.n * h
     terms = []
-    for cd in all_char_data(g).values():
-        scalar = eval_at_root(at_root(cd), h, p)
+    for cd, values in zip(all_char_data(g).values(), _values_at(g, p % h)):
+        scalar = at_root(values)
         if not scalar.is_zero():
             terms.append((weight(cd), scalar, (cd.h_char - nh) * p))
     n = lcm(
@@ -162,20 +205,42 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
         *(s.n for _, s, _ in terms),
         *(c.n for w, _, _ in terms for c in w.t.values()),
     )
-    slots: dict[int, dict[int, Fraction]] = {}
+    scale = lcm(
+        *(v.denominator for _, s, _ in terms for v in s.c.values()),
+        *(
+            v.denominator
+            for w, _, _ in terms
+            for c in w.t.values()
+            for v in c.c.values()
+        ),
+    )
+    slots: dict[int, dict[int, int]] = {}
     for w, s, shift in terms:
         step, rest = divmod(h, w.root_order)
         if rest:
             raise ValueError(f"root_order {h} is not a multiple of {w.root_order}")
-        s_lifted = [(i * (n // s.n), v) for i, v in s.c.items()]
+        s_int = [
+            (i * (n // s.n), v.numerator * (scale // v.denominator))
+            for i, v in s.c.items()
+        ]
         for e, c in w.t.items():
             slot = slots.setdefault(e * step + shift, {})
             lift = n // c.n
             for j, u in c.c.items():
-                for i, v in s_lifted:
-                    x = (j * lift + i) % n
+                j *= lift
+                u = u.numerator * (scale // u.denominator)
+                for i, v in s_int:
+                    x = (j + i) % n
                     slot[x] = slot.get(x, 0) + u * v
-    return LaurentPoly({e: Cyclotomic(n, acc) for e, acc in slots.items()}, "q", h)
+    den = scale * scale
+    out = {}
+    for e, slot in slots.items():
+        acc = _reduce(n, slot)
+        if acc:
+            out[e] = Cyclotomic(
+                n, {j: Fraction(v, den) for j, v in acc.items()}, reduced=True
+            )
+    return LaurentPoly(out, "q", h, reduced=True)
 
 
 def _timed(
@@ -210,6 +275,12 @@ def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
     """The character-expansion trace sum, as an exact Laurent polynomial
     in q.
 
+    The character sum is collapsed to the smallest root order that
+    divides its exponents, which is q itself whenever the identity
+    holds, and divided by P_W there: long division commutes with
+    y -> y^k, so divisibility and fractional powers come out as they
+    would in the root variable, with shorter dense lists.
+
     Raises InexactDivisionError if the Poincare polynomial fails to
     divide the sum, and FractionalPowerError if the total retains
     genuinely fractional q-powers; either would falsify the theory and
@@ -217,9 +288,9 @@ def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
     """
     if g.kind not in (KIND_G1, KIND_GM):
         raise ValueError("trace sums cover the imprimitive kinds only")
-    h = _check_p(g, p)
-    total = _char_sum(g, p, _FEG, _DEG)
-    quotient = poly_exact_div(total, poincare(g).with_root_order(h))
+    _check_p(g, p)
+    total = _char_sum(g, p, _FEG, _DEG).collapse()
+    quotient = poly_exact_div(total, poincare(g).with_root_order(total.root_order))
     return quotient.in_q()
 
 
@@ -244,8 +315,8 @@ def verify_vanishing(g: GroupSpec, p: int) -> VerificationReport:
         twists = {
             exterior_twist_label(g, k, p): k for k in range(g.n + 1)
         }
-        for lab, cd in all_char_data(g).items():
-            value = eval_at_root(cd.deg, h, p)
+        for lab, values in zip(all_char_data(g), _values_at(g, p % h)):
+            value = values.deg
             expected = (-1) ** twists[lab] if lab in twists else 0
             # is_zero is far cheaper than comparing with the rational 0
             if not value.is_zero() if expected == 0 else value != expected:
@@ -275,4 +346,4 @@ def _q_power_minus_one(p: int, n: int) -> LaurentPoly:
     coeffs = [1]
     for _ in range(n):
         coeffs = _poly_mul(coeffs, [-1] + [0] * (p - 1) + [1])
-    return LaurentPoly({e: c for e, c in enumerate(coeffs) if c})
+    return _int_poly(coeffs)

@@ -27,6 +27,9 @@ conductor and the divisor's leading coefficient is +-1 (Poincare
 polynomials, q-integers, (q-1)^n, products of q^k - 1).  Its quotient
 is written over the lcm of the two conductors, which is where the
 Cyclotomic division loop, kept for every other operand, leaves it.
+Every int list becomes a `LaurentPoly` through `_int_poly`, which
+builds each coefficient once and passes `reduced=True`, so the
+constructor skips its per-coefficient conversion and zero test.
 
 Evaluation at a root of unity reduces once: every term is added as
 exponents of zeta_L, L the lcm of the root's order and the coefficients'
@@ -546,20 +549,32 @@ class LaurentPoly:
     """Laurent polynomial in one variable over cyclotomic numbers.
 
     `terms` maps integer exponents of y to nonzero Cyclotomic
-    coefficients, where y^root_order = var.  Immutable.
+    coefficients, where y^root_order = var.  Immutable.  With
+    `reduced=True` the caller vouches that every value of `terms` is a
+    nonzero Cyclotomic, and the map is kept as it is.
     """
 
     __slots__ = ("var", "root_order", "t")
 
-    def __init__(self, terms: dict[int, Cyclotomic], var: str = "q", root_order: int = 1):
+    def __init__(
+        self,
+        terms: dict[int, Cyclotomic],
+        var: str = "q",
+        root_order: int = 1,
+        *,
+        reduced: bool = False,
+    ):
         if root_order < 1:
             raise ValueError(f"root_order must be positive, got {root_order}")
-        clean = {}
-        for e, c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = Cyclotomic.rational(c)
-            if not c.is_zero():
-                clean[e] = c
+        if reduced:
+            clean = terms
+        else:
+            clean = {}
+            for e, c in terms.items():
+                if isinstance(c, (int, Fraction)):
+                    c = Cyclotomic.rational(c)
+                if not c.is_zero():
+                    clean[e] = c
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "root_order", root_order)
         object.__setattr__(self, "t", clean)
@@ -782,6 +797,23 @@ def q_int(n: int, var: str = "q") -> LaurentPoly:
     return LaurentPoly({e: ONE for e in range(n)}, var, 1)
 
 
+def _int_poly(
+    coeffs: list[int], lo: int = 0, n: int = 1, var: str = "q", root_order: int = 1
+) -> LaurentPoly:
+    """sum of coeffs[i] y^(lo + i) over an int list, each nonzero
+    coefficient an integer at conductor n."""
+    return LaurentPoly(
+        {
+            lo + i: Cyclotomic(n, {0: Fraction(c)}, reduced=True)
+            for i, c in enumerate(coeffs)
+            if c
+        },
+        var,
+        root_order,
+        reduced=True,
+    )
+
+
 def lpoly_from_json(data) -> LaurentPoly:
     return LaurentPoly(
         {int(e): cyclo_from_json(c) for e, c in data["terms"]},
@@ -811,15 +843,8 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if int_a is None or int_b is None or int_b[1][-1] not in (1, -1):
         return _cyclotomic_exact_div(a, b)
     (na, A), (nb, B) = int_a, int_b
-    n = na * nb // gcd(na, nb)
-    return LaurentPoly(
-        {
-            i + sa - sb: Cyclotomic(n, {0: Fraction(c)}, reduced=True)
-            for i, c in enumerate(_int_exact_div(A, B, sa))
-            if c
-        },
-        a.var,
-        a.root_order,
+    return _int_poly(
+        _int_exact_div(A, B, sa), sa - sb, lcm(na, nb), a.var, a.root_order
     )
 
 

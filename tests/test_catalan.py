@@ -1,11 +1,20 @@
 import importlib
+import random
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
 from spetscat import exactnum
-from spetscat.exactnum import LaurentPoly, poly_exact_div, q_int, q_monomial, q_poly
+from spetscat.exactnum import (
+    InexactDivisionError,
+    LaurentPoly,
+    eval_at_root,
+    poly_exact_div,
+    q_int,
+    q_monomial,
+    q_poly,
+)
 from spetscat.groups import Gm1n, Gmmn, TypeA, invariants
 from spetscat.labels import all_labels
 from spetscat.degrees import all_char_data, poincare
@@ -233,3 +242,78 @@ def test_catalan_coeffs_match_convolved_q_ints(g):
             denom = exactnum._poly_mul(denom, [1] * d)
         ref = exactnum._int_exact_div(numer, denom)
         assert CATALAN_MODULE._catalan_q_coeffs(g, p) == ref, p
+
+
+# ---------------------------------------------------------------------------
+# the value table and the collapsed division against evaluating and
+# dividing at each p
+
+
+def _values_json(values):
+    return [(v.feg.to_json(), v.deg.to_json()) for v in values]
+
+
+@pytest.mark.parametrize("g", ACCEPTANCE_GROUPS, ids=str)
+def test_values_at_matches_eval_at_each_p(g):
+    """A row read at p % h equals eval_at_root at p, p + h and -p,
+    conductors included, from a cold and from a warm table."""
+    h = invariants(g).coxeter_number
+    data = list(all_char_data(g).values())
+    rng = random.Random(h * 1009 + g.m)
+    ps = coprime_range(h, 6 * h)
+    for warm in (False, True):
+        if not warm:
+            CATALAN_MODULE._values_at.cache_clear()
+        for p in rng.sample(ps, min(4, len(ps))):
+            for sp in (p, p + h, -p):
+                expect = [
+                    (
+                        eval_at_root(cd.feg, h, sp).to_json(),
+                        eval_at_root(cd.deg, h, sp).to_json(),
+                    )
+                    for cd in data
+                ]
+                assert _values_json(CATALAN_MODULE._values_at(g, sp % h)) == expect, sp
+
+
+@pytest.mark.parametrize(
+    "g", [Gm1n(2, 3), Gm1n(3, 3), Gmmn(3, 3), Gmmn(4, 3), Gm1n(4, 2)], ids=str
+)
+def test_value_table_holds_one_row_per_coprime_residue(g):
+    """After vanishing and parking (which reads -p) over every coprime
+    p <= 6h, the table holds phi(h) rows for the group."""
+    h = invariants(g).coxeter_number
+    CATALAN_MODULE._values_at.cache_clear()
+    for p in coprime_range(h, 6 * h):
+        assert verify_vanishing(g, p).equal
+        assert verify_parking(g, p).equal
+    assert CATALAN_MODULE._values_at.cache_info().currsize == len(coprime_range(h, h))
+
+
+def _trace_sum_root_order_h(g, p):
+    """The trace sum divided by P_W in the root variable, before any
+    collapse."""
+    h = invariants(g).coxeter_number
+    total = CATALAN_MODULE._char_sum(g, p, CATALAN_MODULE._FEG, CATALAN_MODULE._DEG)
+    divisor = CATALAN_MODULE.poincare(g).with_root_order(h)
+    return poly_exact_div(total, divisor).in_q()
+
+
+@pytest.mark.parametrize("g", ACCEPTANCE_GROUPS, ids=str)
+def test_trace_sum_matches_division_at_root_order_h(g):
+    h = invariants(g).coxeter_number
+    for p in coprime_range(h, 3 * h):
+        assert trace_sum(g, p).to_json() == _trace_sum_root_order_h(g, p).to_json(), p
+
+
+@pytest.mark.parametrize("g", [Gm1n(2, 2), Gm1n(3, 2), Gmmn(3, 3)], ids=str)
+def test_trace_sum_with_perturbed_poincare_still_raises(g, monkeypatch):
+    h = invariants(g).coxeter_number
+    monkeypatch.setattr(
+        CATALAN_MODULE, "poincare", lambda g: poincare(g) + q_monomial(1)
+    )
+    for p in coprime_range(h, 2 * h):
+        with pytest.raises(InexactDivisionError):
+            trace_sum(g, p)
+        with pytest.raises(InexactDivisionError):
+            _trace_sum_root_order_h(g, p)

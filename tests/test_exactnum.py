@@ -448,3 +448,31 @@ def test_q_int_product_matches_convolution_randomized():
 @given(a=st.lists(st.integers(-100, 100), max_size=30), t=st.integers(0, 40))
 def test_q_int_product_matches_convolution_hypothesis(a, t):
     assert exactnum._mul_q_int(a, t) == exactnum._poly_mul(a, [1] * t)
+
+
+# ---------------------------------------------------------------------------
+# the int-list constructor against the checked LaurentPoly constructor
+
+
+def test_int_poly_matches_checked_constructor_randomized():
+    rng = random.Random(707)
+    for _ in range(200):
+        coeffs = [rng.choice([0, 0, rng.randint(-30, 30)]) for _ in range(rng.randint(0, 15))]
+        n, low = rng.choice(CONDUCTORS), rng.randint(-9, 9)
+        ro = rng.choice([1, 2, 3, 6])
+        fast = exactnum._int_poly(coeffs, low, n, "y", ro)
+        ref = LaurentPoly(
+            {low + i: Cyclotomic(n, {0: Fraction(c)}) for i, c in enumerate(coeffs)},
+            "y",
+            ro,
+        )
+        assert fast.to_json() == ref.to_json()
+        assert all(c.c for c in fast.t.values())
+    assert exactnum._int_poly([0, 0]).to_json() == LaurentPoly({}).to_json()
+
+
+def test_reduced_laurent_keeps_the_map():
+    terms = {2: cyclo(4, 1), -1: cyclo_rational(3)}
+    f = LaurentPoly(terms, "q", 2, reduced=True)
+    assert f.t is terms and f.root_order == 2
+    assert f == LaurentPoly(dict(terms), "q", 2)
