@@ -1,19 +1,22 @@
 """Fake degrees, generic degrees, Schur elements, and the derived scalar
 invariants for every character of G(m,1,n) and G(m,m,n).
 
-All four quantities are driven by the character's m-symbol:
+Fake and generic degrees share one shape, `_symbol_quotient` of the
+character's m-symbol S: numer * prod_{d in degrees} (q^d - 1) *
+q^(-stair) / prod_rows theta, with one exact division.  The fake
+degree's numer is the rows' Vandermonde products times a q-power weight
+summed over the rotations; the generic degree's is the signed
+symbol-binomial product, and its quotient is scaled by tau(m)^(-ell).
+The group kind is data only: the stair's content offset (1 for
+G(m,1,n), 0 for G(m,m,n)), the rotations (the identity, or all m), and
+the rotation stabilizer s of S, which scales the fake degree by 1/s and
+the generic degree by m/s on G(m,m,n).
 
-* fake degree: symbol product formula (rows weighted by q-powers over a
-  product of q-factorials), with the rotation-averaged variant for
-  G(m,m,n);
-* generic degree: the signed symbol-binomial product over a scaled
-  q-factorial denominator, with the m/s prefactor and
-  representative-independent sign for G(m,m,n);
-* Schur element: two independent closed forms for G(m,1,n) (a hook
-  product form and a symbol-free multiplicative form), which must agree;
-  for G(m,m,n) the Schur element is the exact quotient of the Poincare
-  polynomial by the generic degree, which exists precisely because these
-  groups are spetsial.
+Schur elements: two independent closed forms for G(m,1,n) (a hook
+product form and a symbol-free multiplicative form), which must agree;
+for G(m,m,n), the exact quotient of the Poincare polynomial by the
+generic degree, which exists precisely because these groups are
+spetsial.
 
 Derived scalars per character: a and A (valuation and degree of the
 generic degree), b and B (of the dual character's fake degree), the
@@ -40,8 +43,8 @@ from .exactnum import (
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
 from .labels import (
     CharLabel,
+    _twist_parts,
     all_labels,
-    canonical_rotation,
     conjugate_partition,
     dimension,
     dual_label,
@@ -118,9 +121,26 @@ def _binomial_product(rows, m: int) -> LaurentPoly:
     return out
 
 
-def _stair_exponent(m: int, ell: int, offset: int) -> int:
-    """sum_{j=1}^{ell-1} C(m*j + offset, 2)."""
-    return sum(comb(m * j + offset, 2) for j in range(1, ell))
+def _rotations(g: GroupSpec) -> range:
+    """Row rotations a symbol of the group is taken up to: the identity
+    for G(m,1,n), all m of them for G(m,m,n)."""
+    return range(g.m) if g.kind == KIND_GM else range(1)
+
+
+def _symbol_quotient(g: GroupSpec, s: MSymbol, numer: LaurentPoly) -> LaurentPoly:
+    """numer * prod_{d in degrees} (q^d - 1) * q^(-stair) / prod_rows theta,
+    exactly, where stair = sum_{j=1}^{ell-1} C(m*j + offset, 2) with
+    ell = content // m and the content offset 1 for G(m,1,n) symbols
+    (content 1 mod m), 0 for G(m,m,n) (content 0 mod m)."""
+    m = g.m
+    for d in invariants(g).degrees:
+        numer = numer * (q_monomial(d) - 1)
+    offset = 1 if g.kind == KIND_G1 else 0
+    stair = sum(comb(m * j + offset, 2) for j in range(1, s.content // m))
+    den = q_poly([(0, 1)])
+    for row in s.rows:
+        den = den * _theta(row, m)
+    return poly_exact_div(numer.shift(-stair), den)
 
 
 def fake_degree(lab: CharLabel) -> LaurentPoly:
@@ -128,80 +148,31 @@ def fake_degree(lab: CharLabel) -> LaurentPoly:
     as a polynomial in q; its value at q = 1 is the dimension."""
     g = lab.group
     s = symbol_of(lab)
-    m, n = g.m, g.n
-    rows = s.rows
-    if g.kind == KIND_G1:
-        ell = (s.content - 1) // m
-        numer = q_poly([(0, 1)])
-        for i in range(1, n + 1):
-            numer = numer * (q_monomial(m * i) - 1)
-        for row in rows:
-            numer = numer * _delta(row, m)
-        weight = sum((m - i) * sum(rows[i]) for i in range(1, m))
-        numer = numer.shift(weight - _stair_exponent(m, ell, 1))
-        den = q_poly([(0, 1)])
-        for row in rows:
-            den = den * _theta(row, m)
-        return poly_exact_div(numer, den)
-    if g.kind == KIND_GM:
-        ell = s.content // m
-        srot = rotation_stabilizer(s)
-        numer = q_monomial(n) - 1
-        for i in range(1, n):
-            numer = numer * (q_monomial(m * i) - 1)
-        for row in rows:
-            numer = numer * _delta(row, m)
-        rot_sum = q_poly(
-            [
-                (sum((m - i) * sum(rows[(i + j) % m]) for i in range(1, m)), 1)
-                for j in range(m)
-            ]
-        )
-        numer = numer * rot_sum
-        numer = numer.shift(-_stair_exponent(m, ell, 0))
-        den = q_poly([(0, 1)])
-        for row in rows:
-            den = den * _theta(row, m)
-        return poly_exact_div(numer, den) * Fraction(1, srot)
-    raise ValueError("type A mode has no fake-degree pipeline")
+    m, rows = g.m, s.rows
+    numer = q_poly(
+        [
+            (sum((m - i) * sum(rows[(i + j) % m]) for i in range(1, m)), 1)
+            for j in _rotations(g)
+        ]
+    )
+    for row in rows:
+        numer = numer * _delta(row, m)
+    return _symbol_quotient(g, s, numer) * Fraction(1, rotation_stabilizer(s))
 
 
 def _generic_degree_of_symbol(g: GroupSpec, s: MSymbol) -> LaurentPoly:
-    m, n = g.m, g.n
-    rows = s.rows
-    if g.kind == KIND_G1:
-        ell = (s.content - 1) // m
-        sign = (-1) ** (comb(m, 2) * comb(ell, 2))
-        numer = q_poly([(0, sign)])
-        for i in range(1, n + 1):
-            numer = numer * (q_monomial(m * i) - 1)
-        numer = numer * _binomial_product(rows, m)
-        numer = numer.shift(-_stair_exponent(m, ell, 1))
-        den = q_poly([(0, 1)])
-        for row in rows:
-            den = den * _theta(row, m)
-        return poly_exact_div(numer, den) * tau(m).inv() ** ell
-    if g.kind == KIND_GM:
-        ell = s.content // m
-        srot = rotation_stabilizer(s)
-        defect_steps = raw_defect(s)
-        assert defect_steps % m == 0, "unipotent symbols have defect 0 mod m"
-        gamma = (defect_steps // m) * (m * ell - 1)
-        sign = (-1) ** (comb(m, 2) * comb(ell, 2) + gamma)
-        numer = q_poly([(0, sign)]) * (q_monomial(n) - 1)
-        for i in range(1, n):
-            numer = numer * (q_monomial(m * i) - 1)
-        numer = numer * _binomial_product(rows, m)
-        numer = numer.shift(-_stair_exponent(m, ell, 0))
-        den = q_poly([(0, 1)])
-        for row in rows:
-            den = den * _theta(row, m)
-        return (
-            poly_exact_div(numer, den)
-            * tau(m).inv() ** ell
-            * Fraction(m, srot)
-        )
-    raise ValueError("type A mode has no generic-degree pipeline")
+    m = g.m
+    ell = s.content // m
+    defect_steps = raw_defect(s)
+    assert defect_steps % m == 0, "unipotent symbols have defect 0 mod m"
+    gamma = (defect_steps // m) * (m * ell - 1)
+    sign = (-1) ** (comb(m, 2) * comb(ell, 2) + gamma)
+    numer = _binomial_product(s.rows, m) * sign
+    return (
+        _symbol_quotient(g, s, numer)
+        * tau(m).inv() ** ell
+        * Fraction(len(_rotations(g)), rotation_stabilizer(s))
+    )
 
 
 def generic_degree(lab: CharLabel) -> LaurentPoly:
@@ -344,25 +315,11 @@ def _exterior_twist_power(lab: CharLabel) -> int | None:
     """k when the label has the exterior-twist shape (n-k) + column 1^k in
     a component coprime to m, else None."""
     g = lab.group
-    m, n = g.m, g.n
-    parts = lab.parts
-    for k in range(n + 1):
-        for slot in range(m):
-            if k and m > 1 and gcd(slot, m) != 1:
+    for k in range(g.n + 1):
+        for slot in range(g.m):
+            if k and gcd(slot, g.m) != 1:
                 continue
-            comps = [()] * m
-            if k == 0:
-                comps[0] = (n,)
-            elif slot == 0:
-                comps[0] = tuple([n - k] + [1] * k) if n > k else (1,) * k
-            else:
-                if n > k:
-                    comps[0] = (n - k,)
-                comps[slot] = (1,) * k
-            cand = tuple(comps)
-            if g.kind == KIND_GM:
-                cand = canonical_rotation(cand)
-            if cand == parts:
+            if _twist_parts(g, k, slot) == lab.parts:
                 return k
     return None
 

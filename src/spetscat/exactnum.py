@@ -293,11 +293,6 @@ class Cyclotomic:
         x = _as_fraction(x)
         return Cyclotomic(1, {0: x} if x else {}, reduced=True)
 
-    @staticmethod
-    def root(n: int, k: int = 1) -> Cyclotomic:
-        """zeta_n^k in canonical form."""
-        return Cyclotomic(n, {k % n: Fraction(1)})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -524,7 +519,7 @@ class Cyclotomic:
 
 def cyclo(n: int, k: int) -> Cyclotomic:
     """zeta_n^k as a canonical element of Q(zeta_n)."""
-    return Cyclotomic.root(n, k)
+    return Cyclotomic(n, {k % n: Fraction(1)})
 
 
 def cyclo_rational(x) -> Cyclotomic:

@@ -188,16 +188,12 @@ def _check_twist(g: GroupSpec, p: int):
         raise ValueError(f"p = {p} is not coprime to the Coxeter number h = {h}")
 
 
-def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
-    """Label of the k-th exterior power of the p-twisted reflection
-    representation: (n-k) in component 0 and a column 1^k in component
-    p mod m (everything in component 0 when k = 0)."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"exterior power index {k} out of range 0..{g.n}")
-    _check_twist(g, p)
+def _twist_parts(g: GroupSpec, k: int, slot: int) -> MPartition:
+    """(n-k) in component 0 and a column 1^k in component `slot` (the hook
+    (n-k, 1^k) when slot = 0, everything in component 0 when k = 0), in
+    the canonical rotation for G(m,m,n)."""
     m, n = g.m, g.n
     comps: list[Partition] = [()] * m
-    slot = p % m
     if k == 0:
         comps[0] = (n,)
     elif slot == 0:
@@ -207,9 +203,17 @@ def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
             comps[0] = (n - k,)
         comps[slot] = (1,) * k
     parts = tuple(comps)
-    if g.kind == KIND_GM:
-        return CharLabel(g, canonical_rotation(parts), 0)
-    return CharLabel(g, parts)
+    return canonical_rotation(parts) if g.kind == KIND_GM else parts
+
+
+def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
+    """Label of the k-th exterior power of the p-twisted reflection
+    representation: (n-k) in component 0 and a column 1^k in component
+    p mod m (everything in component 0 when k = 0)."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"exterior power index {k} out of range 0..{g.n}")
+    _check_twist(g, p)
+    return CharLabel(g, _twist_parts(g, k, p % g.m))
 
 
 def galois_twist(lab: CharLabel, p: int) -> CharLabel:

@@ -95,14 +95,9 @@ def symbol_defect(s: MSymbol) -> int:
     return raw_defect(s) % len(s.rows)
 
 
-def symbol_stats(s: MSymbol, kind: str) -> tuple[int, int, int]:
-    """(rank, content, defect) for the requested content class.
-
-    kind is "content1" for symbols with content 1 mod m (the G(m,1,n)
-    convention) or "content0" for content 0 mod m (G(m,m,n)).
-    """
-    m = len(s.rows)
-    i = s.content
+def _check_content(i: int, m: int, kind: str) -> None:
+    """Raise unless content i of an m-symbol is in the class `kind` names
+    (see symbol_stats)."""
     if kind == "content1":
         if i % m != 1 % m:
             raise ValueError(f"content {i} is not 1 mod {m}")
@@ -111,7 +106,16 @@ def symbol_stats(s: MSymbol, kind: str) -> tuple[int, int, int]:
             raise ValueError(f"content {i} is not 0 mod {m}")
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return symbol_rank(s), i, symbol_defect(s)
+
+
+def symbol_stats(s: MSymbol, kind: str) -> tuple[int, int, int]:
+    """(rank, content, defect) for the requested content class.
+
+    kind is "content1" for symbols with content 1 mod m (the G(m,1,n)
+    convention) or "content0" for content 0 mod m (G(m,m,n)).
+    """
+    _check_content(s.content, len(s.rows), kind)
+    return symbol_rank(s), s.content, symbol_defect(s)
 
 
 def shift(s: MSymbol) -> MSymbol:
@@ -273,14 +277,7 @@ def symbols_with_entries(
     """
     entries = tuple(sorted(entries))
     i_total = len(entries)
-    if kind == "content1":
-        if i_total % m != 1 % m:
-            raise ValueError(f"content {i_total} is not 1 mod {m}")
-    elif kind == "content0":
-        if i_total % m != 0:
-            raise ValueError(f"content {i_total} is not 0 mod {m}")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_content(i_total, m, kind)
     found: set[tuple[tuple[int, ...], ...]] = set()
 
     def assign(idx: int, rows: tuple[tuple[int, ...], ...]):

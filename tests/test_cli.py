@@ -6,6 +6,7 @@ import pytest
 from spetscat.catalan import closed_form_main
 from spetscat.cli import main
 from spetscat.exactnum import q_monomial
+from spetscat.groups import KIND_G1, parse_group
 
 # the package re-exports the function catalan under the submodule's name
 CATALAN_MODULE = importlib.import_module("spetscat.catalan")
@@ -101,6 +102,27 @@ def test_chars_json_is_deterministic(capsys):
     assert len(rows) == 9
     assert all(set(r) >= {"label", "feg", "deg", "schur", "a", "A", "b", "B", "h", "c"}
                for r in rows)
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["G(2,1,2)", "G(2,1,3)", "G(3,1,2)", "G(3,1,3)", "G(4,1,2)",
+     "G(2,2,3)", "G(3,3,2)", "G(3,3,3)", "G(4,4,3)"],
+)
+def test_chars_json_conductors(capsys, group):
+    """Fake degrees are written at conductor 1; generic degrees and Schur
+    elements at conductor m, except the G(m,1,n) trivial character's
+    generic degree, which is 1 at conductor 1."""
+    g = parse_group(group)
+    trivial = "[(%d)%s]" % (g.n, ",()" * (g.m - 1)) if g.kind == KIND_G1 else None
+    code, out, _ = run(capsys, "chars", "--group", group, "--json")
+    assert code == 0
+    for row in json.loads(out):
+        for key, want in (("feg", 1), ("deg", g.m), ("schur", g.m)):
+            if key == "deg" and row["label"] == trivial:
+                want = 1
+            conductors = {c["conductor"] for _, c in row[key]["terms"]}
+            assert conductors == {want}, (row["label"], key, conductors)
 
 
 def test_symbols_text_and_json_agree(capsys):

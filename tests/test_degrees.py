@@ -4,13 +4,15 @@ from math import comb, gcd
 import pytest
 
 from spetscat.exactnum import cyclo, poly_exact_div, q_monomial, q_poly
-from spetscat.groups import Gm1n, Gmmn, invariants
+from spetscat.groups import KIND_G1, Gm1n, Gmmn, invariants
 from spetscat.labels import (
     CharLabel,
     all_labels,
+    conjugate_partition,
     dimension,
     dual_label,
     exterior_twist_label,
+    rotate,
 )
 from spetscat.degrees import (
     all_char_data,
@@ -24,6 +26,21 @@ from spetscat.degrees import (
 
 SMALL_GROUPS = [Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3), Gmmn(3, 2), Gmmn(2, 3), Gmmn(3, 3)]
 
+# the nine acceptance groups, plus G(2,1,4) and G(3,3,4)
+ORACLE_GROUPS = [
+    Gm1n(2, 2),
+    Gm1n(2, 3),
+    Gm1n(3, 2),
+    Gm1n(3, 3),
+    Gm1n(4, 2),
+    Gm1n(2, 4),
+    Gmmn(2, 3),
+    Gmmn(3, 2),
+    Gmmn(3, 3),
+    Gmmn(4, 3),
+    Gmmn(3, 4),
+]
+
 
 def test_fake_degree_examples():
     g = Gm1n(2, 2)
@@ -35,6 +52,49 @@ def test_fake_degree_values_at_one():
     for g in SMALL_GROUPS:
         for lab in all_labels(g):
             assert fake_degree(lab).value_at_one() == dimension(lab)
+
+
+def _stembridge_fake_degree(m, n, parts):
+    """Stembridge's hook formula for the G(m,1,n) fake degree of the
+    m-partition `parts`, with no symbol: prod_{i<=n} (q^{mi} - 1) times
+    q^(sum_j m n(lam^j) + ((m - j) mod m) |lam^j|) over the product of
+    (q^{m hook} - 1) over the cells of every lam^j."""
+    numer = q_monomial(
+        sum(
+            m * sum(i * part for i, part in enumerate(lam)) + ((m - j) % m) * sum(lam)
+            for j, lam in enumerate(parts)
+        )
+    )
+    for i in range(1, n + 1):
+        numer = numer * (q_monomial(m * i) - 1)
+    den = q_poly([(0, 1)])
+    for lam in parts:
+        conj = conjugate_partition(lam)
+        for i, row in enumerate(lam):
+            for j in range(row):
+                den = den * (q_monomial(m * (row - j + conj[j] - i - 1)) - 1)
+    return poly_exact_div(numer, den)
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=str)
+def test_fake_degree_matches_hook_formula(g):
+    """G(m,1,n): fake_degree is the hook formula.  G(m,m,n): by Clifford
+    restriction, the hook formula summed over the rotation orbit of the
+    m-partition is fake_degree times [m]_{q^n}."""
+    m, n = g.m, g.n
+    q_n_int = q_poly([(n * i, 1) for i in range(m)])
+    for lab in all_labels(g):
+        if g.kind == KIND_G1:
+            assert fake_degree(lab) == _stembridge_fake_degree(m, n, lab.parts), lab
+            continue
+        orbit, cur = set(), lab.parts
+        for _ in range(m):
+            orbit.add(cur)
+            cur = rotate(cur)
+        total = q_poly([])
+        for parts in orbit:
+            total = total + _stembridge_fake_degree(m, n, parts)
+        assert total == fake_degree(lab) * q_n_int, lab
 
 
 def test_regular_representation_identity():
