@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exactnum import Cyclotomic, cyclo, cyclo_rational
+from .exactnum import cyclo, cyclo_rational
 
 __all__ = [
     "FiniteGroup",
@@ -277,18 +277,17 @@ def character_table(group: FiniteGroup):
                 new_spaces.append(basis)
                 continue
             image = _mat_mul_mod(basis, mat, p)  # rows: images of basis rows
-            # restriction A with image = A * basis; row coordinates x map
-            # to x * A, so eigen-rows are the right nullspace of A^T - lam
-            a_mat = _restriction_matrix(basis, image, p)
+            # row coordinates x span an eigen-row of mat for lam exactly when
+            # x * (image - lam * basis) = 0: the left nullspace, which is the
+            # right nullspace of the transpose (basis rows are independent)
             r = len(basis)
-            a_t = [[a_mat[i][j] for i in range(r)] for j in range(r)]
             seen_dim = 0
             for lam in range(p):
-                shifted = [
-                    [(a_t[i][j] - (lam if i == j else 0)) % p for j in range(r)]
-                    for i in range(r)
+                shifted_t = [
+                    [(image[i][c] - lam * basis[i][c]) % p for i in range(r)]
+                    for c in range(k)
                 ]
-                null = _nullspace_mod(shifted, p)
+                null = _nullspace_mod(shifted_t, p)
                 if not null:
                     continue
                 sub = _mat_mul_mod(null, basis, p)
@@ -355,43 +354,6 @@ def character_table(group: FiniteGroup):
         lifted.append(tuple(char_vals))
     lifted.sort(key=lambda vals: (vals[ident_class].as_fraction(), _char_sort_key(vals)))
     return classes, tuple(lifted)
-
-
-def _restriction_matrix(basis, image, p):
-    """A with image = A * basis, for basis rows in general position."""
-    rows = [list(r) + [1 if i == j else 0 for j in range(len(basis))]
-            for i, r in enumerate(basis)]
-    n_cols = len(basis[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    a_mat = []
-    for img_row in image:
-        coeffs = [0] * len(basis)
-        residual = list(img_row)
-        for pr, c in enumerate(pivots):
-            f = residual[c] % p
-            if f:
-                combo = rows[pr][:n_cols]
-                keys = rows[pr][n_cols:]
-                residual = [(x - f * y) % p for x, y in zip(residual, combo)]
-                coeffs = [(ci + f * ki) % p for ci, ki in zip(coeffs, keys)]
-        if any(residual):
-            raise AssertionError("image row left the subspace (non-invariant)")
-        a_mat.append(coeffs)
-    return a_mat
 
 
 def _sqrt_mod(a: int, p: int) -> int:

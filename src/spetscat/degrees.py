@@ -40,9 +40,10 @@ from .exactnum import (
     q_monomial,
     q_poly,
 )
-from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
+from .groups import KIND_G1, GroupSpec, invariants
 from .labels import (
     CharLabel,
+    _rotations,
     _twist_parts,
     all_labels,
     conjugate_partition,
@@ -52,6 +53,7 @@ from .labels import (
 from .symbols import (
     Family,
     MSymbol,
+    _content_offset,
     families,
     raw_defect,
     rotation_stabilizer,
@@ -121,12 +123,6 @@ def _binomial_product(rows, m: int) -> LaurentPoly:
     return out
 
 
-def _rotations(g: GroupSpec) -> range:
-    """Row rotations a symbol of the group is taken up to: the identity
-    for G(m,1,n), all m of them for G(m,m,n)."""
-    return range(g.m) if g.kind == KIND_GM else range(1)
-
-
 def _symbol_quotient(g: GroupSpec, s: MSymbol, numer: LaurentPoly) -> LaurentPoly:
     """numer * prod_{d in degrees} (q^d - 1) * q^(-stair) / prod_rows theta,
     exactly, where stair = sum_{j=1}^{ell-1} C(m*j + offset, 2) with
@@ -135,7 +131,7 @@ def _symbol_quotient(g: GroupSpec, s: MSymbol, numer: LaurentPoly) -> LaurentPol
     m = g.m
     for d in invariants(g).degrees:
         numer = numer * (q_monomial(d) - 1)
-    offset = 1 if g.kind == KIND_G1 else 0
+    offset = _content_offset(g)
     stair = sum(comb(m * j + offset, 2) for j in range(1, s.content // m))
     den = q_poly([(0, 1)])
     for row in s.rows:

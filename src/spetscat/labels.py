@@ -7,14 +7,19 @@ rotation of the tuple; a G(m,m,n) label is therefore a rotation-orbit
 representative plus a component index below s.  Orbit representatives
 are the lexicographically least rotation, so labels serialize
 deterministically.
+
+The group kind enters only as the rotations a label is taken up to
+(`_rotations`): the identity for G(m,1,n), all m of them for G(m,m,n).
+The canonical form is the least of those rotations and the stabilizer
+counts those that fix the tuple, so one rule serves both kinds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd, prod
 
-from .groups import KIND_A, KIND_G1, KIND_GM, GroupSpec, invariants
+from .groups import KIND_A, KIND_GM, GroupSpec, invariants
 
 __all__ = [
     "CharLabel",
@@ -24,7 +29,6 @@ __all__ = [
     "conjugate_partition",
     "hook_count",
     "rotate",
-    "rotation_orbit_size",
     "canonical_rotation",
     "dimension",
     "exterior_twist_label",
@@ -93,24 +97,29 @@ def rotate(parts: MPartition) -> MPartition:
     return (parts[-1],) + parts[:-1]
 
 
-def rotation_orbit_size(parts: MPartition) -> int:
-    m = len(parts)
-    cur = parts
-    for k in range(1, m + 1):
-        cur = rotate(cur)
-        if cur == parts:
-            return k
-    raise AssertionError("rotation of order m must return to the start")
+def _rotated(t: tuple, ks) -> list[tuple]:
+    """t rotated by each k in ks (rotation by k applies `rotate` k times)."""
+    return [t[-k:] + t[:-k] for k in ks]
+
+
+def _rotations(g: GroupSpec) -> range:
+    """Rotations a label of the group is taken up to: the identity for
+    G(m,1,n), all m of them for G(m,m,n)."""
+    return range(g.m) if g.kind == KIND_GM else range(1)
+
+
+def _canonical(g: GroupSpec, parts: MPartition) -> MPartition:
+    """The least rotation of parts that the group allows."""
+    return min(_rotated(parts, _rotations(g)))
+
+
+def _stabilizer(g: GroupSpec, parts: MPartition) -> int:
+    """How many of the group's rotations fix parts."""
+    return _rotated(parts, _rotations(g)).count(parts)
 
 
 def canonical_rotation(parts: MPartition) -> MPartition:
-    best = parts
-    cur = parts
-    for _ in range(len(parts) - 1):
-        cur = rotate(cur)
-        if cur < best:
-            best = cur
-    return best
+    return min(_rotated(parts, range(len(parts))))
 
 
 @dataclass(frozen=True)
@@ -134,14 +143,10 @@ class CharLabel:
             )
         if sum(sum(p) for p in self.parts) != self.group.n:
             raise ValueError(f"label sizes must sum to n = {self.group.n}")
-        if self.group.kind == KIND_GM:
-            s = rotation_orbit_stabilizer(self.parts)
-            if self.parts != canonical_rotation(self.parts):
-                raise ValueError("G(m,m,n) labels use the canonical rotation")
-            if not 0 <= self.component < s:
-                raise ValueError(f"component index {self.component} out of range")
-        elif self.component:
-            raise ValueError("component index is only meaningful for G(m,m,n)")
+        if self.parts != _canonical(self.group, self.parts):
+            raise ValueError("G(m,m,n) labels use the canonical rotation")
+        if not 0 <= self.component < _stabilizer(self.group, self.parts):
+            raise ValueError(f"component index {self.component} out of range")
 
     def __str__(self):
         return label_str(self)
@@ -149,24 +154,18 @@ class CharLabel:
 
 def rotation_orbit_stabilizer(parts: MPartition) -> int:
     """s(parts): how many of the m rotations fix the tuple."""
-    return len(parts) // rotation_orbit_size(parts)
+    return _rotated(parts, range(len(parts))).count(parts)
 
 
 def all_labels(g: GroupSpec) -> tuple[CharLabel, ...]:
-    if g.kind == KIND_G1:
-        return tuple(CharLabel(g, parts) for parts in sorted(m_partitions(g.m, g.n)))
-    if g.kind == KIND_GM:
-        reps = sorted(
-            parts
-            for parts in m_partitions(g.m, g.n)
-            if parts == canonical_rotation(parts)
-        )
-        return tuple(
-            CharLabel(g, parts, j)
-            for parts in reps
-            for j in range(rotation_orbit_stabilizer(parts))
-        )
-    raise ValueError("type A mode has no label pipeline")
+    if g.kind == KIND_A:
+        raise ValueError("type A mode has no label pipeline")
+    reps = sorted(
+        parts for parts in m_partitions(g.m, g.n) if parts == _canonical(g, parts)
+    )
+    return tuple(
+        CharLabel(g, parts, j) for parts in reps for j in range(_stabilizer(g, parts))
+    )
 
 
 def dimension(lab: CharLabel) -> int:
@@ -177,9 +176,7 @@ def dimension(lab: CharLabel) -> int:
     for s in sizes:
         d //= factorial(s)
     d *= prod(hook_count(p) for p in lab.parts)
-    if lab.group.kind == KIND_GM:
-        d //= rotation_orbit_stabilizer(lab.parts)
-    return d
+    return d // _stabilizer(lab.group, lab.parts)
 
 
 def _check_twist(g: GroupSpec, p: int):
@@ -202,8 +199,7 @@ def _twist_parts(g: GroupSpec, k: int, slot: int) -> MPartition:
         if n > k:
             comps[0] = (n - k,)
         comps[slot] = (1,) * k
-    parts = tuple(comps)
-    return canonical_rotation(parts) if g.kind == KIND_GM else parts
+    return _canonical(g, tuple(comps))
 
 
 def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
@@ -225,10 +221,7 @@ def galois_twist(lab: CharLabel, p: int) -> CharLabel:
     comps: list[Partition] = [()] * m
     for k, lam in enumerate(lab.parts):
         comps[(p * k) % m] = lam
-    parts = tuple(comps)
-    if lab.group.kind == KIND_GM:
-        return CharLabel(lab.group, canonical_rotation(parts), lab.component)
-    return CharLabel(lab.group, parts)
+    return CharLabel(lab.group, _canonical(lab.group, tuple(comps)), lab.component)
 
 
 def dual_label(lab: CharLabel) -> CharLabel:
@@ -241,9 +234,7 @@ def dual_label(lab: CharLabel) -> CharLabel:
     """
     m = lab.group.m
     parts = tuple(lab.parts[(-i) % m] for i in range(m))
-    if lab.group.kind == KIND_GM:
-        return CharLabel(lab.group, canonical_rotation(parts), lab.component)
-    return CharLabel(lab.group, parts)
+    return CharLabel(lab.group, _canonical(lab.group, parts), lab.component)
 
 
 def label_str(lab: CharLabel) -> str:

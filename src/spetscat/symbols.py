@@ -10,16 +10,21 @@ taken up to cyclic rotation of the rows and simultaneous shift
 
     (s_1, ..., s_M)  ->  (0, s_1 + 1, ..., s_M + 1)   (every row at once).
 
+The group kind enters only as the content offset (`_content_offset`):
+how many entries row 0 of a principal symbol has beyond the other rows,
+1 for G(m,1,n) and 0 for G(m,m,n).  Rotations come from the labels
+module.
+
 Families group labels whose symbol entries coincide as multisets after
-normalizing to a common content; for G(m,m,n), rotation-invariant symbols
-split into singleton families instead.
+normalizing to a common content; rotation-invariant symbols split into
+singleton families instead (only G(m,m,n) has any).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import KIND_G1, KIND_GM, GroupSpec
+from .groups import KIND_A, KIND_G1, GroupSpec
 from .labels import CharLabel, all_labels, rotation_orbit_stabilizer
 
 __all__ = [
@@ -140,13 +145,13 @@ def rotate_symbol(s: MSymbol) -> MSymbol:
 
 def rotation_stabilizer(s: MSymbol) -> int:
     """s(S): the number of cyclic rotations fixing the symbol."""
-    count = 0
-    cur = s
-    for _ in range(len(s.rows)):
-        cur = rotate_symbol(cur)
-        if cur == s:
-            count += 1
-    return count
+    return rotation_orbit_stabilizer(s.rows)
+
+
+def _content_offset(g: GroupSpec) -> int:
+    """How many entries row 0 of a principal symbol has beyond the other
+    rows: 1 for G(m,1,n) (content 1 mod m), 0 for G(m,m,n) (content 0)."""
+    return 1 if g.kind == KIND_G1 else 0
 
 
 def _beta_row(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
@@ -162,18 +167,14 @@ def symbol_of(lab: CharLabel) -> MSymbol:
     the same minimal length M >= 1; content 0 mod m, defect 0, rank n.
     """
     g = lab.group
+    if g.kind == KIND_A:
+        raise ValueError("type A mode has no symbols")
     parts = lab.parts
-    if g.kind == KIND_G1:
-        m_len = max(
-            [len(parts[0]) - 1] + [len(p) for p in parts[1:]] + [0]
-        )
-        rows = [_beta_row(parts[0], m_len + 1)]
-        rows += [_beta_row(p, m_len) for p in parts[1:]]
-        return MSymbol(tuple(rows))
-    if g.kind == KIND_GM:
-        m_len = max(1, max(len(p) for p in parts))
-        return MSymbol(tuple(_beta_row(p, m_len) for p in parts))
-    raise ValueError("type A mode has no symbols")
+    off = _content_offset(g)
+    m_len = max([len(parts[0]) - off] + [len(p) for p in parts[1:]] + [1 - off])
+    rows = [_beta_row(parts[0], m_len + off)]
+    rows += [_beta_row(p, m_len) for p in parts[1:]]
+    return MSymbol(tuple(rows))
 
 
 def label_of_symbol(g: GroupSpec, s: MSymbol) -> tuple[tuple[int, ...], ...] | None:
@@ -183,14 +184,11 @@ def label_of_symbol(g: GroupSpec, s: MSymbol) -> tuple[tuple[int, ...], ...] | N
     than the others, and for G(m,m,n) when all rows have equal length.
     The returned tuple is the m-partition (not rotated to canonical form).
     """
+    if g.kind == KIND_A:
+        return None
     lengths = [len(r) for r in s.rows]
-    if g.kind == KIND_G1:
-        if not lengths or any(L != lengths[0] - 1 for L in lengths[1:]):
-            return None
-    elif g.kind == KIND_GM:
-        if any(L != lengths[0] for L in lengths):
-            return None
-    else:
+    off = _content_offset(g)
+    if not lengths or any(L != lengths[0] - off for L in lengths[1:]):
         return None
     comps = []
     for row in s.rows:
@@ -219,41 +217,29 @@ def _family_sort_key(fam: Family):
 def families(g: GroupSpec) -> tuple[Family, ...]:
     """Partition of the labels into families.
 
-    G(m,1,n): group by the entry multiset after shifting every symbol to
-    the largest content in play (the grouping does not depend on the
-    common content chosen).  G(m,m,n): every component label of a
-    rotation-invariant symbol is its own singleton family; the rest are
-    grouped by entry multiset exactly as above.
+    Every component label of a rotation-invariant symbol is its own
+    singleton family.  The rest are grouped by the entry multiset after
+    shifting every symbol to the largest content in play (the grouping
+    does not depend on the common content chosen).  A G(m,1,n) symbol has
+    a longer row 0, so no rotation fixes it and only the grouping applies.
     """
-    labs = all_labels(g)
+    orbit_members: dict[tuple, list[CharLabel]] = {}
+    for lab in all_labels(g):
+        orbit_members.setdefault(lab.parts, []).append(lab)
+    orbit_syms = {
+        parts: symbol_of(members[0]) for parts, members in orbit_members.items()
+    }
+    target = max(s.content for s in orbit_syms.values())
     out: list[Family] = []
-    if g.kind == KIND_G1:
-        syms = {lab: symbol_of(lab) for lab in labs}
-        target = max(s.content for s in syms.values())
-        grouped: dict[tuple[int, ...], list[CharLabel]] = {}
-        for lab in labs:
-            key = shift_to_content(syms[lab], target).entries()
-            grouped.setdefault(key, []).append(lab)
-        out = [Family(tuple(members)) for members in grouped.values()]
-    elif g.kind == KIND_GM:
-        orbit_members: dict[tuple, list[CharLabel]] = {}
-        for lab in labs:
-            orbit_members.setdefault(lab.parts, []).append(lab)
-        orbit_syms = {
-            parts: symbol_of(members[0]) for parts, members in orbit_members.items()
-        }
-        target = max(s.content for s in orbit_syms.values())
-        grouped = {}
-        for parts, members in orbit_members.items():
-            s = orbit_syms[parts]
-            if rotation_stabilizer(s) == len(s.rows):
-                out.extend(Family((lab,)) for lab in members)
-            else:
-                key = shift_to_content(s, target).entries()
-                grouped.setdefault(key, []).extend(members)
-        out.extend(Family(tuple(members)) for members in grouped.values())
-    else:
-        raise ValueError("type A mode has no families")
+    grouped: dict[tuple[int, ...], list[CharLabel]] = {}
+    for parts, members in orbit_members.items():
+        s = orbit_syms[parts]
+        if rotation_stabilizer(s) == len(s.rows):
+            out.extend(Family((lab,)) for lab in members)
+        else:
+            key = shift_to_content(s, target).entries()
+            grouped.setdefault(key, []).extend(members)
+    out.extend(Family(tuple(members)) for members in grouped.values())
     return tuple(sorted(out, key=_family_sort_key))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import Cyclotomic, cyclo, cyclo_rational
-from .groups import KIND_G1, GroupSpec, Reflection, enumerate_reflections, invariants
+from .groups import KIND_G1, GroupSpec, Reflection, enumerate_reflections
 from .labels import CharLabel, MPartition, dimension
 
 __all__ = [

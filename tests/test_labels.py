@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from spetscat.groups import Gm1n, Gmmn, invariants
+from spetscat.groups import KIND_G1, Gm1n, Gmmn, invariants
 from spetscat.labels import (
     CharLabel,
     all_labels,
@@ -128,3 +128,41 @@ def test_gmmn_label_validation():
         CharLabel(g, ((2,), (1,), ()), 1)  # stabilizer is 1, component 1 invalid
     with pytest.raises(ValueError):
         CharLabel(g, ((1,), (2,), ()), 0)  # not the canonical rotation
+
+
+@pytest.mark.parametrize(
+    "g, parts, component, valid",
+    [
+        (Gm1n(2, 2), ((1,), (1,)), 1, False),  # G(m,1,n) labels have one component
+        (Gm1n(3, 2), ((), (2,), ()), 0, True),  # and are not taken up to rotation
+        (Gmmn(3, 2), ((), (2,), ()), 0, False),  # but G(m,m,n) labels are
+        (Gmmn(3, 3), ((1,), (1,), (1,)), 2, True),
+        (Gmmn(3, 3), ((1,), (1,), (1,)), 3, False),
+    ],
+)
+def test_label_validation_by_kind(g, parts, component, valid):
+    if valid:
+        assert CharLabel(g, parts, component).component == component
+    else:
+        with pytest.raises(ValueError):
+            CharLabel(g, parts, component)
+
+
+ORDER_GROUPS = [
+    Gm1n(2, 2), Gm1n(2, 3), Gm1n(3, 2), Gm1n(3, 3), Gm1n(4, 2),
+    Gmmn(2, 3), Gmmn(3, 2), Gmmn(3, 3), Gmmn(4, 3), Gmmn(2, 4), Gmmn(4, 4),
+]
+
+
+@pytest.mark.parametrize("g", ORDER_GROUPS, ids=str)
+def test_all_labels_order(g):
+    """The order `chars --json` prints: sorted m-partitions for G(m,1,n);
+    for G(m,m,n) the sorted least rotations, each with components 0..s-1."""
+    if g.kind == KIND_G1:
+        expected = [(parts, 0) for parts in sorted(m_partitions(g.m, g.n))]
+    else:
+        reps = sorted({canonical_rotation(p) for p in m_partitions(g.m, g.n)})
+        expected = [
+            (parts, j) for parts in reps for j in range(rotation_orbit_stabilizer(parts))
+        ]
+    assert [(lab.parts, lab.component) for lab in all_labels(g)] == expected

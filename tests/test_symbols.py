@@ -154,3 +154,25 @@ def test_nonprincipal_symbols_complete_the_b2_middle_family():
 def test_symbol_text_form():
     assert symbol_str(MSymbol(((0, 3), (1,)))) == "0,3;1"
     assert symbol_str(MSymbol(((2,), ()))) == "2;"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Gm1n(2, 2), Gm1n(2, 3), Gm1n(3, 2), Gm1n(3, 3), Gm1n(4, 2), Gm1n(2, 4), Gm1n(4, 3)],
+    ids=str,
+)
+def test_gm1n_families_group_by_entry_multiset(g):
+    """On G(m,1,n) no rotation fixes a symbol, so the families are the
+    labels grouped by the entries of their symbols at the largest content,
+    in label order within a family and sorted by member names."""
+    labs = all_labels(g)
+    target = max(symbol_of(lab).content for lab in labs)
+    grouped = {}
+    for lab in labs:
+        key = shift_to_content(symbol_of(lab), target).entries()
+        grouped.setdefault(key, []).append(lab)
+    expected = sorted(
+        (tuple(members) for members in grouped.values()),
+        key=lambda members: sorted(str(lab) for lab in members),
+    )
+    assert [fam.members for fam in families(g)] == expected
