@@ -1,16 +1,30 @@
 """Fake degrees, generic degrees, Schur elements, and the derived scalar
 invariants for every character of G(m,1,n) and G(m,m,n).
 
-Fake and generic degrees share one shape, `_symbol_quotient` of the
-character's m-symbol S: numer * prod_{d in degrees} (q^d - 1) *
-q^(-stair) / prod_rows theta, with one exact division.  The fake
-degree's numer is the rows' Vandermonde products times a q-power weight
-summed over the rotations; the generic degree's is the signed
-symbol-binomial product, and its quotient is scaled by tau(m)^(-ell).
-The group kind is data only: the stair's content offset (1 for
-G(m,1,n), 0 for G(m,m,n)), the rotations (the identity, or all m), and
-the rotation stabilizer s of S, which scales the fake degree by 1/s and
-the generic degree by m/s on G(m,m,n).
+Fake and generic degrees share one shape in the character's m-symbol S:
+numer * prod_{d in degrees} (q^d - 1) * q^(-stair) / prod_rows theta,
+with one exact division.  The fake degree's numer is the rows'
+Vandermonde products times a q-power weight summed over the rotations;
+the generic degree's is the signed symbol-binomial product, and its
+quotient is scaled by tau(m)^(-ell).  The group kind is data only: the
+stair's content offset (1 for G(m,1,n), 0 for G(m,m,n)), the rotations
+(the identity, or all m), and the rotation stabilizer s of S, which
+scales the fake degree by 1/s and the generic degree by m/s on G(m,m,n).
+Both routes read the stair and the exponents of theta from `_stair` and
+`_theta_exponents`.
+
+Generic degrees are computed in the group ring Z[C_m][q], as m int
+lists, one per power of zeta_m, with no reduction along the way.  A
+binomial q^lam zeta^i - q^mu zeta^j is two shifted, rotated list
+additions and each q^d - 1 a shift-subtract per list; the stair is an
+exponent offset.  Division by theta (an int polynomial with leading
+coefficient 1) is long division per list, and its remainder must vanish
+mod Phi_m (`exactnum._ring_exact_div`).  Each quotient coefficient is
+then reduced once.  Fake degrees and Schur elements stay on the
+Cyclotomic LaurentPoly kernel (`_symbol_quotient`, `poly_exact_div`)
+for now: the `chars` benchmark re-imports the package before each
+operation, outside its timer, so a faster character layer lengthens a
+`chars` run on the wall clock until the benchmark bounds that time.
 
 Schur elements: two independent closed forms for G(m,1,n) (a hook
 product form and a symbol-free multiplicative form), which must agree;
@@ -34,6 +48,8 @@ from math import comb, gcd
 from .exactnum import (
     Cyclotomic,
     LaurentPoly,
+    _ring_exact_div,
+    _ring_poly,
     cyclo,
     cyclo_rational,
     poly_exact_div,
@@ -87,13 +103,18 @@ def tau(m: int) -> Cyclotomic:
     return out
 
 
-def _theta(row, m: int) -> LaurentPoly:
-    """prod over entries e >= 1 of prod_{j=1}^{e} (q^{mj} - 1)."""
-    out = q_poly([(0, 1)])
-    for e in row:
-        for j in range(1, e + 1):
-            out = out * (q_monomial(m * j) - 1)
-    return out
+def _theta_exponents(s: MSymbol, m: int) -> list[int]:
+    """The d of every factor q^d - 1 of prod_rows theta: m*j for j = 1..e
+    over every entry e of every row."""
+    return [m * j for row in s.rows for e in row for j in range(1, e + 1)]
+
+
+def _stair(g: GroupSpec, s: MSymbol) -> int:
+    """sum_{j=1}^{ell-1} C(m*j + offset, 2) with ell = content // m and
+    the content offset 1 for G(m,1,n) symbols (content 1 mod m), 0 for
+    G(m,m,n) (content 0 mod m)."""
+    m, offset = g.m, _content_offset(g)
+    return sum(comb(m * j + offset, 2) for j in range(1, s.content // m))
 
 
 def _delta(row, m: int) -> LaurentPoly:
@@ -105,38 +126,38 @@ def _delta(row, m: int) -> LaurentPoly:
     return out
 
 
-def _binomial_product(rows, m: int) -> LaurentPoly:
-    """prod over row pairs i <= j and entries (lam, mu) in row_i x row_j
-    (with mu < lam when i = j) of (q^lam zeta^i - q^mu zeta^j)."""
-    out = q_poly([(0, 1)])
-    for i in range(m):
-        zi = cyclo(m, i)
-        for j in range(i, m):
-            zj = cyclo(m, j)
-            for lam in rows[i]:
-                for mu in rows[j]:
-                    if i == j and not mu < lam:
-                        continue
-                    out = out * (
-                        LaurentPoly({lam: zi}) - LaurentPoly({mu: zj})
-                    )
+def _symbol_quotient(g: GroupSpec, s: MSymbol, numer: LaurentPoly) -> LaurentPoly:
+    """numer * prod_{d in degrees} (q^d - 1) * q^(-stair) / prod_rows theta,
+    exactly, through the Cyclotomic LaurentPoly kernel."""
+    for d in invariants(g).degrees:
+        numer = numer * (q_monomial(d) - 1)
+    den = q_poly([(0, 1)])
+    for d in _theta_exponents(s, g.m):
+        den = den * (q_monomial(d) - 1)
+    return poly_exact_div(numer.shift(-_stair(g, s)), den)
+
+
+def _times_q_power_minus_one(a: list[int], d: int) -> list[int]:
+    """a * (q^d - 1) for a dense int list a."""
+    out = [0] * d + a
+    for i, x in enumerate(a):
+        out[i] -= x
     return out
 
 
-def _symbol_quotient(g: GroupSpec, s: MSymbol, numer: LaurentPoly) -> LaurentPoly:
-    """numer * prod_{d in degrees} (q^d - 1) * q^(-stair) / prod_rows theta,
-    exactly, where stair = sum_{j=1}^{ell-1} C(m*j + offset, 2) with
-    ell = content // m and the content offset 1 for G(m,1,n) symbols
-    (content 1 mod m), 0 for G(m,m,n) (content 0 mod m)."""
-    m = g.m
-    for d in invariants(g).degrees:
-        numer = numer * (q_monomial(d) - 1)
-    offset = _content_offset(g)
-    stair = sum(comb(m * j + offset, 2) for j in range(1, s.content // m))
-    den = q_poly([(0, 1)])
-    for row in s.rows:
-        den = den * _theta(row, m)
-    return poly_exact_div(numer.shift(-stair), den)
+def _times_binomial(comps: list[list[int]], lam: int, i: int, mu: int, j: int):
+    """comps * (q^lam zeta^i - q^mu zeta^j) in Z[C_m][q], where comps[k]
+    is the coefficient list of zeta^k and all have one length."""
+    m, width = len(comps), len(comps[0]) + max(lam, mu)
+    out = []
+    for k in range(m):
+        row = [0] * width
+        for e, x in enumerate(comps[(k - i) % m], lam):
+            row[e] = x
+        for e, x in enumerate(comps[(k - j) % m], mu):
+            row[e] -= x
+        out.append(row)
+    return out
 
 
 def fake_degree(lab: CharLabel) -> LaurentPoly:
@@ -157,17 +178,37 @@ def fake_degree(lab: CharLabel) -> LaurentPoly:
 
 
 def _generic_degree_of_symbol(g: GroupSpec, s: MSymbol) -> LaurentPoly:
-    m = g.m
+    """The signed symbol-binomial product times prod_{d in degrees}
+    (q^d - 1) * q^(-stair) / prod_rows theta in Z[C_m][q], reduced once
+    per coefficient, then scaled by tau(m)^(-ell) * len(rotations) / s."""
+    m, rows = g.m, s.rows
     ell = s.content // m
     defect_steps = raw_defect(s)
     assert defect_steps % m == 0, "unipotent symbols have defect 0 mod m"
     gamma = (defect_steps // m) * (m * ell - 1)
     sign = (-1) ** (comb(m, 2) * comb(ell, 2) + gamma)
-    numer = _binomial_product(s.rows, m) * sign
-    return (
-        _symbol_quotient(g, s, numer)
-        * tau(m).inv() ** ell
-        * Fraction(len(_rotations(g)), rotation_stabilizer(s))
+    binomials = [
+        (lam, i, mu, j)
+        for i in range(m)
+        for j in range(i, m)
+        for lam in rows[i]
+        for mu in rows[j]
+        if i < j or mu < lam
+    ]
+    comps = [[sign]] + [[0] for _ in range(m - 1)]
+    for b in binomials:
+        comps = _times_binomial(comps, *b)
+    for d in invariants(g).degrees:
+        comps = [_times_q_power_minus_one(c, d) for c in comps]
+    den = [1]
+    for d in _theta_exponents(s, m):
+        den = _times_q_power_minus_one(den, d)
+    stair = _stair(g, s)
+    quot = _ring_exact_div(comps, den, -stair)
+    # conductor m once a binomial is multiplied in, 1 otherwise: where
+    # the Cyclotomic kernel leaves the coefficients
+    return _ring_poly(quot[: m if binomials else 1], -stair) * (
+        tau(m).inv() ** ell * Fraction(len(_rotations(g)), rotation_stabilizer(s))
     )
 
 

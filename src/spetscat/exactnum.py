@@ -31,6 +31,12 @@ Every int list becomes a `LaurentPoly` through `_int_poly`, which
 builds each coefficient once and passes `reduced=True`, so the
 constructor skips its per-coefficient conversion and zero test.
 
+A polynomial over Z[zeta_m] may also be held in the group ring
+Z[C_m][q], as m int lists, one per power of zeta_m.  `_ring_exact_div`
+long-divides each list by an int divisor with leading coefficient +-1
+and requires the remainder to vanish mod Phi_m; `_ring_poly` reduces
+each coefficient once into a LaurentPoly.
+
 Evaluation at a root of unity reduces once: every term is added as
 exponents of zeta_L, L the lcm of the root's order and the coefficients'
 conductors, and only the sum is reduced modulo Phi_L.
@@ -210,13 +216,10 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def _int_exact_div(a: list[int], b: list[int], offset: int = 0) -> list[int]:
-    """Exact quotient a / b of dense int polynomials (ascending), where b
-    has leading coefficient +-1, so the quotient stays integral.
-
-    Raises InexactDivisionError on a nonzero remainder, naming its lowest
-    exponent plus `offset`.
-    """
+def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of dense int polynomials (ascending), where
+    b has leading coefficient +-1, so the quotient stays integral.  The
+    remainder is the low deg b coefficients, zeros included."""
     lead, db = b[-1], len(b) - 1
     terms = [(j, c) for j, c in enumerate(b) if c]
     rem = a + [0] * max(0, db - len(a))
@@ -228,12 +231,44 @@ def _int_exact_div(a: list[int], b: list[int], offset: int = 0) -> list[int]:
             quot[i] = f
             for j, bc in terms:
                 rem[i + j] -= f * bc
-    for i in range(db):
-        if rem[i]:
+    return quot, rem[:db]
+
+
+def _int_exact_div(a: list[int], b: list[int], offset: int = 0) -> list[int]:
+    """Exact quotient a / b by `_int_divmod`.
+
+    Raises InexactDivisionError on a nonzero remainder, naming its lowest
+    exponent plus `offset`.
+    """
+    quot, rem = _int_divmod(a, b)
+    for i, r in enumerate(rem):
+        if r:
             raise InexactDivisionError(
                 f"remainder has a nonzero term at exponent {i + offset}"
             )
     return quot
+
+
+def _ring_exact_div(
+    comps: list[list[int]], b: list[int], offset: int = 0
+) -> list[list[int]]:
+    """Exact quotient of sum_k comps[k] zeta_m^k, m = len(comps) and
+    comps[k] a dense int polynomial, by an int polynomial b with leading
+    coefficient +-1.
+
+    Each component is long-divided on its own, in the group ring
+    Z[C_m][q]; this is sound because Z[C_m] -> Z[zeta_m] is a ring map.
+    The remainder, gathered per exponent, must reduce to 0 mod Phi_m;
+    otherwise InexactDivisionError names its lowest such exponent plus
+    `offset`.
+    """
+    quots, rems = zip(*(_int_divmod(c, b) for c in comps))
+    for i, col in enumerate(zip(*rems)):
+        if any(col) and _reduce(len(comps), dict(enumerate(col))):
+            raise InexactDivisionError(
+                f"remainder has a nonzero term at exponent {i + offset}"
+            )
+    return list(quots)
 
 
 def _solve_exact(mat: list[list[Fraction]], ncols: int):
@@ -807,6 +842,21 @@ def _int_poly(
         root_order,
         reduced=True,
     )
+
+
+def _ring_poly(comps: list[list[int]], lo: int = 0) -> LaurentPoly:
+    """sum_k comps[k] zeta_n^k q^(lo + i) over n = len(comps) int lists of
+    one length, each coefficient reduced once mod Phi_n, at conductor n."""
+    n = len(comps)
+    terms = {}
+    for i, col in enumerate(zip(*comps)):
+        if any(col):
+            c = _reduce(n, dict(enumerate(col)))
+            if c:
+                terms[lo + i] = Cyclotomic(
+                    n, {e: Fraction(v) for e, v in c.items()}, reduced=True
+                )
+    return LaurentPoly(terms, reduced=True)
 
 
 def lpoly_from_json(data) -> LaurentPoly:

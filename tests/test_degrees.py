@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spetscat.exactnum import cyclo, poly_exact_div, q_monomial, q_poly
+from spetscat.exactnum import LaurentPoly, cyclo, poly_exact_div, q_monomial, q_poly
 from spetscat.groups import KIND_G1, Gm1n, Gmmn, invariants
 from spetscat.labels import (
     CharLabel,
@@ -14,6 +15,8 @@ from spetscat.labels import (
     exterior_twist_label,
     rotate,
 )
+from spetscat.symbols import raw_defect, rotation_stabilizer, symbol_of
+from spetscat import degrees
 from spetscat.degrees import (
     all_char_data,
     fake_degree,
@@ -146,6 +149,67 @@ def test_twist_generic_degrees_match_closed_form():
             for k in range(1, g.n + 1):
                 lab = exterior_twist_label(g, k, p)
                 assert generic_degree(lab) == _twist_degree_closed_form(g, k, p)
+
+
+# ---------------------------------------------------------------------------
+# the Cyclotomic route of the generic degree, as the differential reference
+
+
+def _binomial_product(rows, m):
+    """prod over row pairs i <= j and entries (lam, mu) in row_i x row_j
+    (with mu < lam when i = j) of (q^lam zeta^i - q^mu zeta^j)."""
+    out = q_poly([(0, 1)])
+    for i in range(m):
+        zi = cyclo(m, i)
+        for j in range(i, m):
+            zj = cyclo(m, j)
+            for lam in rows[i]:
+                for mu in rows[j]:
+                    if i == j and not mu < lam:
+                        continue
+                    out = out * (LaurentPoly({lam: zi}) - LaurentPoly({mu: zj}))
+    return out
+
+
+def _generic_degree_reference(lab):
+    """The symbol formula with Cyclotomic coefficients throughout and one
+    exact division by the Cyclotomic LaurentPoly kernel."""
+    g, s = lab.group, symbol_of(lab)
+    m = g.m
+    ell = s.content // m
+    gamma = (raw_defect(s) // m) * (m * ell - 1)
+    sign = (-1) ** (comb(m, 2) * comb(ell, 2) + gamma)
+    numer = _binomial_product(s.rows, m) * sign
+    return (
+        degrees._symbol_quotient(g, s, numer)
+        * tau(m).inv() ** ell
+        * Fraction(len(degrees._rotations(g)), rotation_stabilizer(s))
+    )
+
+
+# the nine acceptance groups, plus G(2,1,4), G(3,3,4) and G(6,6,2)
+REFERENCE_GROUPS = ORACLE_GROUPS + [Gmmn(6, 2)]
+
+
+@pytest.mark.parametrize("g", REFERENCE_GROUPS, ids=str)
+def test_generic_degree_matches_cyclotomic_reference(g):
+    """Values and conductors: the group-ring route reduces once per
+    coefficient and must land where the Cyclotomic kernel does."""
+    for lab in all_labels(g):
+        assert generic_degree(lab).to_json() == _generic_degree_reference(lab).to_json(), lab
+
+
+SMALL_POOL = [Gm1n(m, n) for m in (2, 3, 4, 5, 6) for n in (1, 2)] + [
+    Gm1n(2, 3), Gm1n(2, 4), Gm1n(2, 5),
+    Gmmn(4, 2), Gmmn(5, 2), Gmmn(7, 2), Gmmn(8, 2), Gmmn(2, 4), Gmmn(2, 5),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.sampled_from(SMALL_POOL), data=st.data())
+def test_generic_degree_matches_cyclotomic_reference_hypothesis(g, data):
+    lab = data.draw(st.sampled_from(all_labels(g)), label="label")
+    assert generic_degree(lab).to_json() == _generic_degree_reference(lab).to_json()
 
 
 def test_schur_trivial_is_poincare():

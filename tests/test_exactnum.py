@@ -273,6 +273,93 @@ def test_int_division_matches_cyclotomic_loop_hypothesis(
     _check_int_division(quot, conductors[0], lower + [lead], conductors[1], shift, bump)
 
 
+def _check_int_divmod(a, b):
+    """_int_divmod against the identity a = quot * b + rem, against
+    _int_exact_div and against the Cyclotomic loop on a - rem."""
+    quot, rem = exactnum._int_divmod(a, b)
+    assert len(rem) == len(b) - 1
+    product = exactnum._poly_mul(quot, b)
+    total = [0] * max(len(a), len(product), len(rem))
+    for i, x in enumerate(product):
+        total[i] += x
+    for i, x in enumerate(rem):
+        total[i] += x
+    assert exactnum._trim(total) == exactnum._trim(list(a))
+    nonzero = [i for i, r in enumerate(rem) if r]
+    if nonzero:
+        with pytest.raises(InexactDivisionError, match=f"exponent {nonzero[0] + 3}$"):
+            exactnum._int_exact_div(a, b, 3)
+    else:
+        assert exactnum._int_exact_div(a, b) == quot
+    exact = [x - (rem[i] if i < len(rem) else 0) for i, x in enumerate(a)]
+    if any(exact):
+        loop = exactnum._cyclotomic_exact_div(_int_laurent(exact, 1), _int_laurent(b, 1))
+        assert loop.to_json() == _int_laurent(quot, 1).to_json()
+
+
+def test_int_divmod_randomized():
+    rng = random.Random(1010)
+    for _ in range(150):
+        b = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))] + [rng.choice([1, -1])]
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(len(b), 14))]
+        a[-1] = a[-1] or 1
+        if rng.random() < 0.5:
+            # an exact dividend: a multiple of b
+            a = exactnum._poly_mul(a, b)
+        _check_int_divmod(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(lambda a: a[-1]),
+    lower=st.lists(st.integers(-10, 10), min_size=0, max_size=5),
+    lead=st.sampled_from([1, -1]),
+)
+def test_int_divmod_hypothesis(a, lower, lead):
+    _check_int_divmod(a, lower + [lead])
+
+
+def test_int_divmod_short_dividend():
+    assert exactnum._int_divmod([5], [1, 0, 1]) == ([], [5, 0])
+
+
+def test_ring_division_passes_a_remainder_zero_mod_phi():
+    """A remainder 1 + zeta + zeta^2 at m = 3 is nonzero in Z[C_3] but 0 in
+    Z[zeta_3], so the division is exact and the quotient is read off."""
+    b = [-1, 0, 1]  # q^2 - 1
+    x = [[2, -1, 3], [0, 4, 1], [5, 0, -2]]
+    comps = [exactnum._poly_mul(c, b) for c in x]
+    for c in comps:
+        c[1] += 1
+    assert exactnum._ring_exact_div(comps, b) == x
+    # at m = 4 the same remainder is no multiple of Phi_4 = 1 + zeta^2
+    comps4 = comps + [exactnum._poly_mul([0, 0, 0], b)]
+    with pytest.raises(InexactDivisionError, match="exponent 1$"):
+        exactnum._ring_exact_div(comps4, b)
+
+
+def test_ring_division_names_the_exponent_of_a_perturbation():
+    b = [1, 0, -1, 1]
+    rng = random.Random(2020)
+    for m in (2, 3, 4, 5, 6):
+        x = [[rng.randint(-5, 5) for _ in range(3)] + [1] for _ in range(m)]
+        comps = [exactnum._poly_mul(c, b) for c in x]
+        assert exactnum._ring_exact_div(comps, b) == x
+        e, k = rng.randrange(3), rng.randrange(m)
+        comps[k][e] += rng.choice([-2, -1, 1, 2])
+        with pytest.raises(InexactDivisionError, match=f"exponent {e - 7}$"):
+            exactnum._ring_exact_div(comps, b, -7)
+
+
+def test_ring_poly_reduces_once_per_coefficient():
+    # 1 + zeta + zeta^2 = 0 at conductor 3 drops out; zeta^2 = -1 - zeta
+    f = exactnum._ring_poly([[1, 0, 2], [1, 0, 0], [1, 1, 0]], -2)
+    assert f.to_json() == LaurentPoly({-1: cyclo(3, 2), 0: cyclo(3, 0) * 2}).to_json()
+    assert f.coeff(0).n == 3
+    # one component is conductor 1
+    assert exactnum._ring_poly([[0, -3]], 4).to_json() == q_poly([(5, -3)]).to_json()
+
+
 def test_other_operands_take_the_loop():
     """A non-unit leading divisor coefficient, a non-integer coefficient,
     or integers over two conductors in one operand."""

@@ -1,7 +1,7 @@
 import pytest
 
 from spetscat.groups import Gm1n, Gmmn
-from spetscat.labels import CharLabel, all_labels
+from spetscat.labels import CharLabel, all_labels, label_str
 from spetscat.symbols import (
     MSymbol,
     families,
@@ -176,3 +176,44 @@ def test_gm1n_families_group_by_entry_multiset(g):
         key=lambda members: sorted(str(lab) for lab in members),
     )
     assert [fam.members for fam in families(g)] == expected
+
+
+# Families holding a G(m,m,n) label whose symbol stabilizer s lies
+# strictly between 1 and m.  Such a symbol is not rotation-invariant, so
+# it is grouped with the symbols sharing its entry multiset, the
+# non-degenerate ones (s = 1) among them.
+INTERMEDIATE_STABILIZER_FAMILIES = {
+    Gmmn(4, 2): [["[(),(),(1),(1)]#0", "[(),(1),(),(1)]#0", "[(),(1),(),(1)]#1"]],
+    Gmmn(4, 4): [
+        ["[(),(),(1,1),(1,1)]#0", "[(),(1,1),(),(1,1)]#0", "[(),(1,1),(),(1,1)]#1"],
+        ["[(),(),(2),(2)]#0", "[(),(2),(),(2)]#0", "[(),(2),(),(2)]#1"],
+    ],
+    Gmmn(6, 2): [
+        [
+            "[(),(),(),(),(1),(1)]#0",
+            "[(),(),(),(1),(),(1)]#0",
+            "[(),(),(1),(),(),(1)]#0",
+            "[(),(),(1),(),(),(1)]#1",
+        ]
+    ],
+    Gmmn(6, 3): [
+        [
+            "[(),(),(),(1),(1),(1)]#0",
+            "[(),(),(1),(),(1),(1)]#0",
+            "[(),(),(1),(1),(),(1)]#0",
+            "[(),(1),(),(1),(),(1)]#0",
+            "[(),(1),(),(1),(),(1)]#1",
+            "[(),(1),(),(1),(),(1)]#2",
+        ]
+    ],
+}
+
+
+@pytest.mark.parametrize("g", list(INTERMEDIATE_STABILIZER_FAMILIES), ids=str)
+def test_gmmn_families_of_intermediate_stabilizers(g):
+    fams = [
+        [label_str(lab) for lab in fam.members]
+        for fam in families(g)
+        if any(1 < rotation_stabilizer(symbol_of(lab)) < g.m for lab in fam.members)
+    ]
+    assert fams == INTERMEDIATE_STABILIZER_FAMILIES[g]
