@@ -4,6 +4,8 @@ Schur elements, Fourier pairings, and rational Catalan trace identities,
 all in exact cyclotomic arithmetic with zero numerical tolerance.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exactnum import (
     Cyclotomic,
     LaurentPoly,
@@ -48,12 +50,6 @@ from .symbols import (
     family_of,
     rotation_stabilizer,
 )
-from .tableaux import (
-    GeneratorMatrices,
-    build_model,
-    reflection_character_sum,
-    standard_tableaux,
-)
 from .degrees import (
     CharData,
     char_data,
@@ -75,7 +71,6 @@ from .fourier import (
     verify_transform_swap,
     nonabelian_fourier,
 )
-from .chartable import FiniteGroup, character_table
 from .catalan import (
     VerificationReport,
     catalan,
@@ -88,3 +83,32 @@ from .catalan import (
 )
 
 __version__ = "0.1.0"
+
+# Names of the explicit matrix models and of the small-group character
+# tables, whose modules no check and no character datum uses: each
+# module is imported on the first read of one of its names.
+_LAZY = {
+    "GeneratorMatrices": "tableaux",
+    "build_model": "tableaux",
+    "reflection_character_sum": "tableaux",
+    "standard_tableaux": "tableaux",
+    "FiniteGroup": "chartable",
+    "character_table": "chartable",
+}
+
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_LAZY)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -19,18 +19,20 @@ binomial q^lam zeta^i - q^mu zeta^j is two shifted, rotated list
 additions and each q^d - 1 a shift-subtract per list; the stair is an
 exponent offset.  Division by theta (an int polynomial with leading
 coefficient 1) is long division per list, and its remainder must vanish
-mod Phi_m (`exactnum._ring_exact_div`).  Each quotient coefficient is
-then reduced once.  Fake degrees and Schur elements stay on the
-Cyclotomic LaurentPoly kernel (`_symbol_quotient`, `poly_exact_div`)
-for now: the `chars` benchmark re-imports the package before each
-operation, outside its timer, so a faster character layer lengthens a
-`chars` run on the wall clock until the benchmark bounds that time.
+mod Phi_m (`exactnum._ring_exact_div`).  tau(m)^2 = (-1)^C(m-1,2) m^m
+is rational, so tau(m)^(-ell) is at most one product by tau(m) in the
+group ring and a rational scale; each quotient coefficient is then
+reduced and scaled once.  Fake degrees and Schur elements stay on the
+Cyclotomic LaurentPoly kernel (`_symbol_quotient`, `poly_exact_div`).
 
 Schur elements: two independent closed forms for G(m,1,n) (a hook
 product form and a symbol-free multiplicative form), which must agree;
 for G(m,m,n), the exact quotient of the Poincare polynomial by the
 generic degree, which exists precisely because these groups are
-spetsial.
+spetsial.  `CharData.schur` builds the Chlouveraki form, or that
+quotient, on its first read and keeps it.  `all_char_data` builds none:
+the checks expand the trace as Feg * Deg / P_W and read no Schur
+element.
 
 Derived scalars per character: a and A (valuation and degree of the
 generic degree), b and B (of the dual character's fake degree), the
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 from .exactnum import (
@@ -177,10 +179,22 @@ def fake_degree(lab: CharLabel) -> LaurentPoly:
     return _symbol_quotient(g, s, numer) * Fraction(1, rotation_stabilizer(s))
 
 
+def _times_ring_element(comps: list[list[int]], t: dict[int, int]):
+    """comps * sum_k t[k] zeta^k in Z[C_m][q], m = len(comps)."""
+    m, width = len(comps), len(comps[0])
+    out = [[0] * width for _ in range(m)]
+    for k, c in t.items():
+        for j, row in enumerate(comps):
+            dst = out[(j + k) % m]
+            for e, x in enumerate(row):
+                dst[e] += c * x
+    return out
+
+
 def _generic_degree_of_symbol(g: GroupSpec, s: MSymbol) -> LaurentPoly:
     """The signed symbol-binomial product times prod_{d in degrees}
-    (q^d - 1) * q^(-stair) / prod_rows theta in Z[C_m][q], reduced once
-    per coefficient, then scaled by tau(m)^(-ell) * len(rotations) / s."""
+    (q^d - 1) * q^(-stair) / prod_rows theta in Z[C_m][q], scaled by
+    tau(m)^(-ell) * len(rotations) / s and reduced once per coefficient."""
     m, rows = g.m, s.rows
     ell = s.content // m
     defect_steps = raw_defect(s)
@@ -206,10 +220,18 @@ def _generic_degree_of_symbol(g: GroupSpec, s: MSymbol) -> LaurentPoly:
     stair = _stair(g, s)
     quot = _ring_exact_div(comps, den, -stair)
     # conductor m once a binomial is multiplied in, 1 otherwise: where
-    # the Cyclotomic kernel leaves the coefficients
-    return _ring_poly(quot[: m if binomials else 1], -stair) * (
-        tau(m).inv() ** ell * Fraction(len(_rotations(g)), rotation_stabilizer(s))
-    )
+    # the Cyclotomic kernel leaves the coefficients.  ell > 0 needs at
+    # least m entries, so a binomial.
+    if not binomials:
+        quot = quot[:1]
+    # tau(m)^-ell = tau(m)^(ell mod 2) * (tau(m)^2)^-ceil(ell/2), with
+    # tau(m)^2 = (-1)^C(m-1,2) m^m; tau(m) is integral on the power basis
+    if ell % 2:
+        quot = _times_ring_element(quot, {k: int(c) for k, c in tau(m).c.items()})
+    scale = Fraction(len(_rotations(g)), rotation_stabilizer(s)) / (
+        (-1) ** comb(m - 1, 2) * m**m
+    ) ** ((ell + 1) // 2)
+    return _ring_poly(quot, -stair, scale)
 
 
 def generic_degree(lab: CharLabel) -> LaurentPoly:
@@ -323,13 +345,22 @@ class CharData:
     label: CharLabel
     feg: LaurentPoly
     deg: LaurentPoly
-    schur: LaurentPoly
     a: int
     A: int
     b: int
     B: int
     h_char: int
     content_c: int
+
+    @cached_property
+    def schur(self) -> LaurentPoly:
+        """The Schur element, built on its first read and kept.  The
+        Chlouveraki form for G(m,1,n); P_W / deg for G(m,m,n), which
+        raises InexactDivisionError unless deg divides P_W."""
+        g = self.label.group
+        if g.kind == KIND_G1:
+            return schur_element(self.label, "chlouveraki")
+        return poly_exact_div(poincare(g), self.deg)
 
     def to_json(self):
         from .labels import label_str
@@ -376,16 +407,11 @@ def all_char_data(g: GroupSpec) -> dict[CharLabel, CharData]:
     mismatch raises.
     """
     inv = invariants(g)
-    p_w = inv.poincare
     labs = all_labels(g)
     fegs = {lab: fake_degree(lab) for lab in labs}
     out: dict[CharLabel, CharData] = {}
     for lab in labs:
         deg = generic_degree(lab)
-        if g.kind == KIND_G1:
-            schur = schur_element(lab, "chlouveraki")
-        else:
-            schur = poly_exact_div(p_w, deg)
         feg = fegs[lab]
         dim = dimension(lab)
         if feg.value_at_one() != dim or deg.value_at_one() != dim:
@@ -410,7 +436,6 @@ def all_char_data(g: GroupSpec) -> dict[CharLabel, CharData]:
             label=lab,
             feg=feg,
             deg=deg,
-            schur=schur,
             a=a,
             A=A,
             b=b,

@@ -844,9 +844,12 @@ def _int_poly(
     )
 
 
-def _ring_poly(comps: list[list[int]], lo: int = 0) -> LaurentPoly:
-    """sum_k comps[k] zeta_n^k q^(lo + i) over n = len(comps) int lists of
-    one length, each coefficient reduced once mod Phi_n, at conductor n."""
+def _ring_poly(
+    comps: list[list[int]], lo: int = 0, scale: Fraction = Fraction(1)
+) -> LaurentPoly:
+    """scale * sum_k comps[k] zeta_n^k q^(lo + i) over n = len(comps) int
+    lists of one length, each coefficient reduced once mod Phi_n, at
+    conductor n; scale is a nonzero rational."""
     n = len(comps)
     terms = {}
     for i, col in enumerate(zip(*comps)):
@@ -854,7 +857,7 @@ def _ring_poly(comps: list[list[int]], lo: int = 0) -> LaurentPoly:
             c = _reduce(n, dict(enumerate(col)))
             if c:
                 terms[lo + i] = Cyclotomic(
-                    n, {e: Fraction(v) for e, v in c.items()}, reduced=True
+                    n, {e: v * scale for e, v in c.items()}, reduced=True
                 )
     return LaurentPoly(terms, reduced=True)
 

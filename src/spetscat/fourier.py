@@ -34,7 +34,6 @@ from .labels import CharLabel, all_labels, label_str
 from .symbols import Family, MSymbol, families, family_of, symbol_of
 from .degrees import all_char_data, tau
 from .catalan import _DEG, _FEG, VerificationReport, _char_sum, _check_p, _timed
-from .chartable import FiniteGroup, character_table
 
 __all__ = [
     "PairingMatrix",
@@ -226,6 +225,8 @@ def nonabelian_fourier(table, bound: int = 120) -> NonabelianFourier:
     Groups are given by multiplication tables; centralizer character
     tables come from the exact modular-lift method in `chartable`.
     """
+    from .chartable import FiniteGroup, character_table
+
     group = FiniteGroup(tuple(tuple(row) for row in table))
     if group.order > bound:
         raise ValueError(f"group order {group.order} exceeds the bound {bound}")

@@ -1,10 +1,20 @@
+import dataclasses
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spetscat.exactnum import LaurentPoly, cyclo, poly_exact_div, q_monomial, q_poly
+from spetscat.catalan import verify_main, verify_parking, verify_vanishing
+from spetscat.exactnum import (
+    InexactDivisionError,
+    LaurentPoly,
+    cyclo,
+    poly_exact_div,
+    q_monomial,
+    q_poly,
+)
+from spetscat.fourier import verify_transform_swap
 from spetscat.groups import KIND_G1, Gm1n, Gmmn, invariants
 from spetscat.labels import (
     CharLabel,
@@ -232,6 +242,44 @@ def test_schur_times_generic_degree_is_poincare():
             assert cd.deg * cd.schur == poincare(g)
 
 
+@pytest.mark.parametrize("g", [Gm1n(2, 3), Gmmn(3, 3)], ids=str)
+def test_schur_is_not_built_by_char_data_or_checks(g):
+    all_char_data.cache_clear()
+    data = all_char_data(g)
+    assert not any("schur" in vars(cd) for cd in data.values())
+    h = invariants(g).coxeter_number
+    p = next(p for p in range(h + 1, 2 * h) if gcd(p, h) == 1)
+    verify_main(g, (1, p))
+    verify_vanishing(g, p)
+    verify_parking(g, p)
+    if g.kind == KIND_G1:
+        verify_transform_swap(g, p)
+    assert all_char_data(g) is data
+    assert not any("schur" in vars(cd) for cd in data.values())
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=str)
+def test_schur_built_on_first_read(g):
+    for lab, cd in all_char_data(g).items():
+        if g.kind == KIND_G1:
+            want = schur_element(lab, "chlouveraki")
+        else:
+            want = poly_exact_div(poincare(g), cd.deg)
+        assert cd.schur.to_json() == want.to_json()
+        assert cd.schur is cd.schur
+
+
+def test_schur_of_perturbed_poincare_raises(monkeypatch):
+    g = Gmmn(3, 3)
+    # a deg of several terms: a monomial deg is a unit and divides anything
+    cd = max(all_char_data(g).values(), key=lambda cd: len(cd.deg.t))
+    fresh = dataclasses.replace(cd)
+    assert "schur" not in vars(fresh)
+    monkeypatch.setattr(degrees, "poincare", lambda g: invariants(g).poincare + 1)
+    with pytest.raises(InexactDivisionError):
+        fresh.schur
+
+
 def test_schur_requires_gm1n_kind():
     with pytest.raises(ValueError):
         schur_element(CharLabel(Gmmn(3, 3), ((3,), (), ()), 0))
@@ -269,6 +317,7 @@ def test_family_shared_a_A():
 
 def test_tau_squared_value():
     # tau(m)^2 = (-1)^C(m-1,2) * m^m, the radical-free characterization
-    for m in (2, 3, 4):
+    # that generic degrees scale by
+    for m in range(2, 10):
         expected = Fraction((-1) ** comb(m - 1, 2) * m**m)
         assert (tau(m) * tau(m)).as_fraction() == expected

@@ -1,15 +1,25 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module,
+and `import spetscat` loads only the modules the checks use.
 
 An AST scan of `src/spetscat/*.py`: a name bound by `import` or
 `from ... import` must appear as a loaded name, unless the module lists it
 in `__all__` (a re-export).  `__init__.py` exists to re-export, and
 `from __future__ import annotations` binds nothing a reader uses, so both
 are skipped.
+
+The import footprint is read from a fresh interpreter, since this one has
+loaded every module already.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import spetscat
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spetscat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -65,3 +75,63 @@ def test_scan_accepts_reexports_and_future():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+EAGER = ["catalan", "degrees", "exactnum", "fourier", "groups", "labels", "symbols"]
+LAZY = {
+    "GeneratorMatrices": "tableaux",
+    "build_model": "tableaux",
+    "reflection_character_sum": "tableaux",
+    "standard_tableaux": "tableaux",
+    "FiniteGroup": "chartable",
+    "character_table": "chartable",
+}
+
+
+def _fresh(code: str):
+    """The JSON that `code` prints, run in a fresh interpreter on ./src."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_loads_only_the_check_modules():
+    loaded, catalan_is_function = _fresh(
+        "import json, sys, spetscat\n"
+        "mods = sorted(n.partition('.')[2] for n in sys.modules if n.startswith('spetscat.'))\n"
+        "print(json.dumps([mods, spetscat.catalan is sys.modules['spetscat.catalan'].catalan]))"
+    )
+    assert loaded == EAGER
+    assert catalan_is_function
+
+
+def test_lazy_names_are_their_modules_objects():
+    same, catalan_is_function = _fresh(
+        "import importlib, json, sys, spetscat\n"
+        f"lazy = {LAZY!r}\n"
+        "same = {n: getattr(spetscat, n) is getattr(importlib.import_module('spetscat.' + m), n)"
+        " for n, m in lazy.items()}\n"
+        "print(json.dumps([same, spetscat.catalan is sys.modules['spetscat.catalan'].catalan]))"
+    )
+    assert same == dict.fromkeys(LAZY, True)
+    assert catalan_is_function
+
+
+def test_star_import_binds_lazy_names():
+    bound = _fresh(
+        "import json\n"
+        "from spetscat import *\n"
+        f"print(json.dumps([n in globals() for n in {sorted(LAZY)!r}]))"
+    )
+    assert bound == [True] * len(LAZY)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        spetscat.no_such_name
