@@ -209,11 +209,10 @@ def _cmd_catalan(args) -> int:
         if args.q:
             val = catalan(g, p, q_deformed=True)
             payload.append({"group": str(g), "p": p, "catalan_q": val.to_json()})
-            lines.append(f"p={p}: {val}" if len(p_list) > 1 else str(val))
         else:
             val = catalan(g, p)
             payload.append({"group": str(g), "p": p, "catalan": str(val)})
-            lines.append(f"p={p}: {val}" if len(p_list) > 1 else str(val))
+        lines.append(f"p={p}: {val}" if len(p_list) > 1 else str(val))
     _emit(args, payload, lines)
     return 0
 

@@ -15,6 +15,11 @@ operand's conductor, as the lift would give it.  A rational is {0: v} at
 every conductor, so equality with a rational, or at one conductor,
 compares the maps without a lift.
 
+The inverse of a non-rational x at conductor n is by the field norm:
+the product of the other conjugates of x under Gal(Q(zeta_n)/Q), divided
+by the rational norm N(x), which x times that product equals.  It stays
+at conductor n.
+
 A `LaurentPoly` is a Laurent polynomial in one variable with Cyclotomic
 coefficients.  Fractional powers of the nominal variable q are realized
 through a declared `root_order` D: the terms live in integer powers of
@@ -91,21 +96,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        phi_d = cyclotomic_polynomial(d)
-        quot = [0] * (len(poly) - len(phi_d) + 1)
-        rem = list(poly)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(phi_d) - 1]
-            quot[i] = c
-            if c:
-                for j, pc in enumerate(phi_d):
-                    rem[i + j] -= c * pc
-        assert all(c == 0 for c in rem), f"Phi_{d} must divide x^{n}-1"
-        poly = quot
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
+        if n % d == 0:
+            poly = _int_exact_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
 
@@ -166,20 +158,6 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of dense Fraction polynomials (b nonzero)."""
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = f
-        for j, bc in enumerate(b):
-            r[shift + j] -= f * bc
-        _trim(r)
-    return _trim(q), r
-
-
 def _poly_mul(a: list, b: list) -> list:
     """Product of dense polynomials; int lists stay int."""
     if not a or not b:
@@ -204,15 +182,6 @@ def _mul_q_int(a: list[int], t: int) -> list[int]:
         if i >= t:
             s -= padded[i - t]
         out.append(s)
-    return _trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
     return _trim(out)
 
 
@@ -271,38 +240,6 @@ def _ring_exact_div(
     return list(quots)
 
 
-def _solve_exact(mat: list[list[Fraction]], ncols: int):
-    """Solve an overdetermined augmented system exactly; None if inconsistent.
-
-    mat rows have ncols coefficient entries plus the RHS entry.
-    """
-    rows = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    return sol
-
-
 class Cyclotomic:
     """An element of Q(zeta_N) in canonical reduced form.
 
@@ -351,30 +288,6 @@ class Cyclotomic:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
         f = m // self.n
         return Cyclotomic(m, {e * f: c for e, c in self.c.items()})
-
-    def try_demote(self, m: int) -> Cyclotomic | None:
-        """The same value in Q(zeta_m) if representable there, else None.
-
-        Solves a small linear system on the power basis of Q(zeta_n).
-        Results of ordinary arithmetic are intentionally left at their
-        working conductor; this is for tests and display only.
-        """
-        if m == self.n:
-            return self
-        if self.n % m:
-            return None
-        f = self.n // m
-        dn, _ = _reduction_rows(self.n)
-        dm, _ = _reduction_rows(m)
-        # columns: images of zeta_m^j in the power basis of Q(zeta_n)
-        cols = [Cyclotomic(self.n, {j * f: Fraction(1)}).c for j in range(dm)]
-        # augmented system rows indexed by exponents 0..dn-1
-        mat = [[col.get(e, Fraction(0)) for col in cols] + [self.c.get(e, Fraction(0))]
-               for e in range(dn)]
-        sol = _solve_exact(mat, dm)
-        if sol is None:
-            return None
-        return Cyclotomic(m, {j: c for j, c in enumerate(sol) if c})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -441,29 +354,21 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self) -> Cyclotomic:
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against Phi_n in Q[x]."""
+        """Multiplicative inverse by the field norm.
+
+        rest, the product of the conjugates self.galois(k) over 1 < k < n
+        with gcd(k, n) = 1, makes self * rest the norm of self, a nonzero
+        rational; the inverse is rest divided by that rational, at
+        conductor n."""
         if not self.c:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.is_rational():
             return Cyclotomic(self.n, {0: 1 / self.c[0]}, reduced=True)
-        d, _ = _reduction_rows(self.n)
-        a = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        b = [Fraction(0)] * d
-        for e, c in self.c.items():
-            b[e] = c
-        _trim(b)
-        # track only the self-multipliers: u*Phi + t*self = current remainder
-        ta, tb = [], [Fraction(1)]
-        while len(b) > 1:
-            q, r = _poly_divmod(a, b)
-            tn = _poly_sub(ta, _poly_mul(q, tb))
-            a, ta = b, tb
-            b, tb = r, tn
-            if not b:
-                raise ZeroDivisionError("element shares a factor with Phi_n")
-        unit = b[0]
-        return Cyclotomic(self.n, {i: c / unit for i, c in enumerate(tb) if c})
+        rest = Cyclotomic.rational(1)
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                rest = rest * self.galois(k)
+        return rest * (1 / (self * rest).as_fraction())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -514,10 +419,6 @@ class Cyclotomic:
             return self.c == other.c
         a, b = self._common(other)
         return a.c == b.c
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     __hash__ = None  # equal values at different conductors; keep unhashable
 
@@ -749,10 +650,6 @@ class LaurentPoly:
         if set(a.t) != set(b.t):
             return False
         return all(a.t[e] == b.t[e] for e in a.t)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     __hash__ = None
 

@@ -119,18 +119,6 @@ def pairing(g: GroupSpec, lab1: CharLabel, lab2: CharLabel) -> Cyclotomic:
     return _pairing_from_assignments(m, ell, s1, _base_assignment(s2))
 
 
-def _pairing_all_second_reps(g: GroupSpec, lab1: CharLabel, lab2: CharLabel):
-    """Pairing recomputed with every assignment realizing the second
-    symbol as the fixed representative (they must all agree)."""
-    s1, s2 = symbol_of(lab1), symbol_of(lab2)
-    m = g.m
-    ell = (s1.content - 1) // m
-    return tuple(
-        _pairing_from_assignments(m, ell, s1, psi2)
-        for psi2 in _class_members(s2)
-    )
-
-
 @dataclass(frozen=True)
 class PairingMatrix:
     family: Family

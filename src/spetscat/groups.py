@@ -135,7 +135,7 @@ def invariants(g: GroupSpec) -> GroupInvariants:
     m, n = g.m, g.n
     if g.kind == KIND_G1:
         degrees = tuple(m * i for i in range(1, n + 1))
-        num_hyperplanes = n + m * n * (n - 1) // 2 if m >= 2 else n * (n - 1) // 2
+        num_hyperplanes = n + m * n * (n - 1) // 2
     elif g.kind == KIND_GM:
         degrees = tuple(sorted([m * i for i in range(1, n)] + [n]))
         num_hyperplanes = m * n * (n - 1) // 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Cyclotomic, cyclo, cyclo_rational
+from .exactnum import ONE, ZERO, Cyclotomic, cyclo, cyclo_rational
 from .groups import KIND_G1, GroupSpec, Reflection, enumerate_reflections
 from .labels import CharLabel, MPartition, dimension
 
@@ -40,9 +40,6 @@ __all__ = [
 # a tableau is an m-tuple of components; each component is a tuple of rows;
 # each row is a tuple of the numbers 1..n it contains
 Tableau = tuple[tuple[tuple[int, ...], ...], ...]
-
-ZERO = cyclo_rational(0)
-ONE = cyclo_rational(1)
 
 
 @lru_cache(maxsize=None)

@@ -70,8 +70,6 @@ def test_conductor_lift_round_trip():
     lifted = a.lift(12)
     assert lifted.n == 12
     assert lifted == a
-    assert lifted.try_demote(3) == a
-    assert cyclo(12, 1).try_demote(3) is None
 
 
 def test_serialization_round_trip():
@@ -136,13 +134,14 @@ def _random_laurent(rng, conductor):
 def test_field_axioms_randomized():
     rng = random.Random(101)
     for _ in range(120):
-        n = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 20, 24])
+        n = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 21, 24, 60])
         a, b, c = (_random_cyclotomic(rng, n) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert a * a.inv() == 1
+            assert a.inv().n == a.n
 
 
 def test_division_round_trip_randomized():

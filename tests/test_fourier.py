@@ -16,7 +16,8 @@ from spetscat.symbols import (
 )
 from spetscat.degrees import all_char_data
 from spetscat.fourier import (
-    _pairing_all_second_reps,
+    _class_members,
+    _pairing_from_assignments,
     nonabelian_fourier,
     pairing,
     pairing_matrix,
@@ -78,6 +79,18 @@ def test_pairing_matrix_rows_unit_norm():
         mat = pairing_matrix(g, fam)
         for i, row in enumerate(mat.entries):
             assert mat.entries[i][i] == mat.entries[i][i].conjugate()
+
+
+def _pairing_all_second_reps(g, lab1: CharLabel, lab2: CharLabel):
+    """Pairing recomputed with every assignment realizing the second
+    symbol as the fixed representative (they must all agree)."""
+    s1, s2 = symbol_of(lab1), symbol_of(lab2)
+    m = g.m
+    ell = (s1.content - 1) // m
+    return tuple(
+        _pairing_from_assignments(m, ell, s1, psi2)
+        for psi2 in _class_members(s2)
+    )
 
 
 def test_second_representative_independence():

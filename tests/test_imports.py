@@ -1,4 +1,5 @@
 """Every name a package module imports is read somewhere in that module,
+every private function and class is referenced somewhere in the package,
 and `import spetscat` loads only the modules the checks use.
 
 An AST scan of `src/spetscat/*.py`: a name bound by `import` or
@@ -6,6 +7,11 @@ An AST scan of `src/spetscat/*.py`: a name bound by `import` or
 in `__all__` (a re-export).  `__init__.py` exists to re-export, and
 `from __future__ import annotations` binds nothing a reader uses, so both
 are skipped.
+
+A second scan reads every module of the package: a function, method or
+class whose name starts with one underscore (dunders aside) must be read,
+as a name or an attribute, outside its own body.  A helper only the tests
+call belongs in the tests.
 
 The import footprint is read from a fresh interpreter, since this one has
 loaded every module already.
@@ -15,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,6 +82,48 @@ def test_scan_accepts_reexports_and_future():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """`module:line: name` for each private function or class in the
+    modules `sources` (name -> source) that no module reads outside the
+    definition's own body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+                and reads[node.name] == _reads(node)[node.name]
+            ):
+                dead.append(f"{module}:{node.lineno}: {node.name}")
+    return sorted(dead)
+
+
+def test_private_scan_finds_a_dead_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead(k):\n    return _dead(k - 1)\n",
+        "b.py": "from a import _used\n_used()\n\nclass _Box:\n    def __init__(self):\n        pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:4: _dead", "b.py:4: _Box"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
 
 
 EAGER = ["catalan", "degrees", "exactnum", "fourier", "groups", "labels", "symbols"]
