@@ -1,10 +1,13 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spetscat.exactnum import cyclo_rational
+from spetscat import fourier
+from spetscat.cli import main
+from spetscat.exactnum import cyclo, cyclo_rational
 from spetscat.groups import Gm1n, Gmmn, invariants
 from spetscat.labels import CharLabel, all_labels, label_str
 from spetscat.symbols import (
@@ -14,10 +17,10 @@ from spetscat.symbols import (
     symbol_rank,
     symbols_with_entries,
 )
-from spetscat.degrees import all_char_data
+from spetscat.degrees import tau
 from spetscat.fourier import (
-    _class_members,
-    _pairing_from_assignments,
+    PairingMatrix,
+    _value_groups,
     nonabelian_fourier,
     pairing,
     pairing_matrix,
@@ -28,6 +31,60 @@ from spetscat.fourier import (
 from spetscat.chartable import cyclic_group_table, symmetric_group_table
 
 TRIO = [Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3)]
+# G(4,1,3) and G(5,1,2) stay out: the reference takes seconds on them
+REFERENCE_GROUPS = TRIO + [Gm1n(3, 3), Gm1n(4, 2), Gm1n(2, 4)]
+HYPOTHESIS_POOL = [Gm1n(m, n) for m in (2, 3, 4) for n in (1, 2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the reference: the pairing summed term by term over every assignment
+
+
+def _class_members(sym):
+    """All assignments realizing the symbol: its rows permuted within each
+    block of equal entries, the base assignment first."""
+    for choice in product(*(permutations(block) for block in _value_groups(sym))):
+        yield sum(choice, ())
+
+
+def _eps(psi) -> int:
+    """(-1) to the number of ascending pairs y < y' with psi(y) < psi(y')."""
+    n = len(psi)
+    return (-1) ** sum(psi[y] < psi[y2] for y in range(n) for y2 in range(y + 1, n))
+
+
+def _pairing_from_assignments(m: int, ell: int, sym1, psi2):
+    eps2 = _eps(psi2)
+    total = cyclo_rational(0)
+    for nu in _class_members(sym1):
+        e = sum(a * b for a, b in zip(nu, psi2)) % m
+        total = total + _eps(nu) * eps2 * cyclo(m, (-e) % m)
+    sign = -1 if (ell * (m - 1)) % 2 else 1
+    return total * sign * tau(m).inv() ** ell
+
+
+def _reference_pairing(g, lab1: CharLabel, lab2: CharLabel):
+    s1, s2 = symbol_of(lab1), symbol_of(lab2)
+    ell = (s1.content - 1) // g.m
+    return _pairing_from_assignments(g.m, ell, s1, next(_class_members(s2)))
+
+
+@pytest.mark.parametrize("g", REFERENCE_GROUPS, ids=str)
+def test_pairing_matches_assignment_reference(g):
+    for fam in families(g):
+        for a in fam.members:
+            for b in fam.members:
+                ref = _reference_pairing(g, a, b)
+                assert pairing(g, a, b).to_json() == ref.to_json(), (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.sampled_from(HYPOTHESIS_POOL), data=st.data())
+def test_pairing_matches_assignment_reference_hypothesis(g, data):
+    fam = data.draw(st.sampled_from(families(g)), label="family")
+    a = data.draw(st.sampled_from(fam.members), label="a")
+    b = data.draw(st.sampled_from(fam.members), label="b")
+    assert pairing(g, a, b).to_json() == _reference_pairing(g, a, b).to_json()
 
 
 def test_pairing_of_trivial_is_one():
@@ -71,6 +128,45 @@ def test_T2_symmetry_and_T3_support():
     for g in TRIO:
         rep = pairing_symmetry_report(g)
         assert rep.equal, rep.witness
+
+
+@pytest.fixture
+def perturbed_b2(monkeypatch):
+    """Entry (0, 1) of the matrix of G(2,1,2)'s 3-member family moved by
+    one; returns that entry's two labels."""
+    g = Gm1n(2, 2)
+    (fam,) = [f for f in families(g) if len(f.members) == 3]
+    real = fourier.pairing_matrix
+
+    def moved(g2, fam2):
+        mat = real(g2, fam2)
+        if (g2, fam2) != (g, fam):
+            return mat
+        rows = [list(row) for row in mat.entries]
+        rows[0][1] = rows[0][1] + 1
+        return PairingMatrix(fam, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(fourier, "pairing_matrix", moved)
+    return fam.members[0], fam.members[1]
+
+
+def test_T2_fails_on_an_asymmetric_entry(perturbed_b2):
+    a, b = perturbed_b2
+    rep = pairing_symmetry_report(Gm1n(2, 2))
+    assert not rep.equal
+    assert rep.witness == f"T2: {{{label_str(a)}, {label_str(b)}}}"
+
+
+def test_T1_fails_naming_the_character_of_the_moved_row(perturbed_b2):
+    a, _ = perturbed_b2
+    rep = verify_T1(Gm1n(2, 2))
+    assert not rep.equal
+    assert [w.partition(":")[0] for w in rep.witness.split("; ")] == [label_str(a)]
+
+
+def test_fourier_cli_exits_1_on_a_failed_check(perturbed_b2, capsys):
+    assert main(["fourier", "--group", "G(2,1,2)"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_pairing_matrix_rows_unit_norm():
