@@ -21,19 +21,25 @@ from exterior-twist labels and the parking-function count
 The scalar depends on p only through p mod h.  So each group keeps a
 table of every character's Feg and Deg at zeta_h^r, one row per residue
 r that a check has asked for (at most phi(h) rows), and vanishing, the
-trace, parking and the swap all read it.  The character sum runs in
-Python ints: every scalar and weight coefficient is scaled over one
-common denominator, and each output coefficient is gathered as
-exponents of a root of unity, reduced once and divided by the scale
-once.
+trace, parking and the swap all read it.  Characters with one h_char
+share the shift q^((h_char - n h) p / h), and at zeta_h^p only those
+with h_char = k h (k = 0..n) keep a nonzero value in these sums, so
+each sum has n+1 classes of terms.  Per residue, each class's terms are
+added once into one polynomial: in Python ints, every scalar and weight
+coefficient scaled over one common denominator, each coefficient
+gathered as exponents of a root of unity, reduced once and divided by
+the scale once.  A sum at p then shifts the n+1 class polynomials of
+p mod h and adds them.  Parking's right side is built term by term by
+the binomial theorem, so its size does not grow with p.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -68,6 +74,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The outcome of one exact check.
+
+    `p` is the value the check ran at, or None for a check that does not
+    depend on p (T1, T2/T3).  `lhs` and `rhs` are the two sides a
+    comparison computed.  Both are None for checks that compare no two
+    polynomials, and a side that raised is None (the right side runs
+    first, so a right side that raised leaves both None).  `witness`
+    names the first failure, or is None when `equal`.  `ms` is the wall
+    time of the check in whole milliseconds, truncated.
+    """
+
     group: str
     p: int | None
     claim: str
@@ -98,6 +115,15 @@ def _check_p(g: GroupSpec, p: int) -> int:
     return h
 
 
+def _check_dense(p: int, length: int, what: str) -> None:
+    """Refuse a p whose dense coefficient list could not be allocated."""
+    if length > sys.maxsize:
+        raise ValueError(
+            f"p = {p} is too large: {what} would need a dense list of "
+            f"{length} coefficients"
+        )
+
+
 def _tops(g: GroupSpec, p: int) -> list[int]:
     """The numerator factors p + (p e_i mod h) of Cat_p(W)."""
     h = _check_p(g, p)
@@ -108,8 +134,10 @@ def _catalan_q_coeffs(g: GroupSpec, p: int) -> list[int]:
     """Cat_p(W; q) as an int list, ascending: prod [t_i]_q divided
     exactly by prod [d_i]_q, so a non-polynomial value raises
     InexactDivisionError."""
+    tops = _tops(g, p)
+    _check_dense(p, sum(tops) - len(tops) + 1, "Cat_p(W; q)")
     numer = denom = [1]
-    for t in _tops(g, p):
+    for t in tops:
         numer = _mul_q_int(numer, t)
     for d in invariants(g).degrees:
         denom = _mul_q_int(denom, d)
@@ -181,25 +209,33 @@ def _dim(cd) -> LaurentPoly:
     return _dimension_poly(cd.label)
 
 
-def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
-    """sum over characters of
-    y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
-    in the root variable y with y^h = q.  Callers validate p.
+@lru_cache(maxsize=None)
+def _class_sums(
+    g: GroupSpec, r: int, at_root, weight
+) -> tuple[tuple[int, dict[int, Cyclotomic]], ...]:
+    """The character sum at zeta_h^r before the shift by p, one class of
+    terms per h_char: pairs of h_char - n h and the class's sum
+    at_root(char)(zeta_h^r) * weight(char), as exponents of y mapped to
+    nonzero coefficients.
 
-    `at_root` reads a character's row of _values_at.  Each coefficient
-    of the sum is gathered unreduced, as exponents of zeta_L with L the
-    lcm of h and every conductor that occurs.  Every scalar and weight
-    coefficient is scaled to an int over one common denominator D, so
-    the slots sum ints that carry D^2; each slot is reduced once and
-    divided by D^2 once.
+    Characters with one h_char share the shift y^((h_char - n h) p), so
+    a class adds to one polynomial that depends on p only through
+    r = p mod h.  Only characters whose `at_root` value is nonzero
+    count; on the checks' sums those form the n+1 classes h_char = k h.
+
+    Each coefficient is gathered unreduced, as exponents of zeta_L with
+    L the lcm of h and every conductor that occurs.  Every scalar and
+    weight coefficient is scaled to an int over one common denominator
+    D, so the slots sum ints that carry D^2; each slot is reduced once
+    and divided by D^2 once.  Every coefficient is at conductor L.
     """
     h = invariants(g).coxeter_number
     nh = g.n * h
     terms = []
-    for cd, values in zip(all_char_data(g).values(), _values_at(g, p % h)):
+    for cd, values in zip(all_char_data(g).values(), _values_at(g, r)):
         scalar = at_root(values)
         if not scalar.is_zero():
-            terms.append((weight(cd), scalar, (cd.h_char - nh) * p))
+            terms.append((weight(cd), scalar, cd.h_char - nh))
     n = lcm(
         h,
         *(s.n for _, s, _ in terms),
@@ -214,8 +250,9 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
             for v in c.c.values()
         ),
     )
-    slots: dict[int, dict[int, int]] = {}
-    for w, s, shift in terms:
+    classes: dict[int, dict[int, dict[int, int]]] = {}
+    for w, s, k in terms:
+        slots = classes.setdefault(k, {})
         step, rest = divmod(h, w.root_order)
         if rest:
             raise ValueError(f"root_order {h} is not a multiple of {w.root_order}")
@@ -224,7 +261,7 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
             for i, v in s.c.items()
         ]
         for e, c in w.t.items():
-            slot = slots.setdefault(e * step + shift, {})
+            slot = slots.setdefault(e * step, {})
             lift = n // c.n
             for j, u in c.c.items():
                 j *= lift
@@ -233,13 +270,39 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
                     x = (j + i) % n
                     slot[x] = slot.get(x, 0) + u * v
     den = scale * scale
-    out = {}
-    for e, slot in slots.items():
-        acc = _reduce(n, slot)
-        if acc:
-            out[e] = Cyclotomic(
-                n, {j: Fraction(v, den) for j, v in acc.items()}, reduced=True
-            )
+    out = []
+    for k, slots in classes.items():
+        coeffs = {}
+        for e, slot in slots.items():
+            acc = _reduce(n, slot)
+            if acc:
+                coeffs[e] = Cyclotomic(
+                    n, {j: Fraction(v, den) for j, v in acc.items()}, reduced=True
+                )
+        out.append((k, coeffs))
+    return tuple(out)
+
+
+def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
+    """sum over characters of
+    y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
+    in the root variable y with y^h = q.  Callers validate p.
+
+    `at_root` reads a character's row of _values_at.  The sum shifts
+    each class of _class_sums at p mod h by its (h_char - n h) p, and
+    adds the classes where they meet on one exponent.
+    """
+    h = invariants(g).coxeter_number
+    out: dict[int, Cyclotomic] = {}
+    for k, coeffs in _class_sums(g, p % h, at_root, weight):
+        shift = k * p
+        for e, c in coeffs.items():
+            e += shift
+            if e in out:
+                c = out.pop(e) + c
+                if c.is_zero():
+                    continue
+            out[e] = c
     return LaurentPoly(out, "q", h, reduced=True)
 
 
@@ -290,6 +353,8 @@ def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
         raise ValueError("trace sums cover the imprimitive kinds only")
     _check_p(g, p)
     total = _char_sum(g, p, _FEG, _DEG).collapse()
+    if not total.is_zero():
+        _check_dense(p, total.max_exp() - total.min_exp() + 1, "the trace sum")
     quotient = poly_exact_div(total, poincare(g).with_root_order(total.root_order))
     return quotient.in_q()
 
@@ -342,8 +407,9 @@ def verify_parking(g: GroupSpec, p: int) -> VerificationReport:
 
 
 def _q_power_minus_one(p: int, n: int) -> LaurentPoly:
-    """(q^p - 1)^n, multiplied out in int lists."""
-    coeffs = [1]
-    for _ in range(n):
-        coeffs = _poly_mul(coeffs, [-1] + [0] * (p - 1) + [1])
-    return _int_poly(coeffs)
+    """(q^p - 1)^n by the binomial theorem: the n+1 terms
+    C(n, k) (-1)^(n-k) q^(kp)."""
+    return LaurentPoly(
+        {k * p: Cyclotomic.rational(comb(n, k) * (-1) ** (n - k)) for k in range(n + 1)},
+        reduced=True,
+    )

@@ -342,6 +342,15 @@ def _schur_mathas(lab: CharLabel) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class CharData:
+    """Everything the checks read about one character.
+
+    `feg` and `deg` are its fake and generic degree; `a`, `A` are the
+    valuation and degree of `deg`, `b`, `B` those of the dual
+    character's fake degree; `h_char` = a + A and `content_c` =
+    |R| - h_char.  The Schur element `schur` is not a field: it is built
+    on its first read and kept.
+    """
+
     label: CharLabel
     feg: LaurentPoly
     deg: LaurentPoly

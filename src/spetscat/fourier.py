@@ -105,6 +105,10 @@ def pairing(g: GroupSpec, lab1: CharLabel, lab2: CharLabel) -> Cyclotomic:
 
 @dataclass(frozen=True)
 class PairingMatrix:
+    """The Fourier pairing on one family: entries[i][j] is
+    {members[i], members[j]}, rows and columns in the order of
+    `family.members`."""
+
     family: Family
     entries: tuple[tuple[Cyclotomic, ...], ...]
 

@@ -108,6 +108,15 @@ def parse_group(text: str) -> GroupSpec:
 
 @dataclass(frozen=True)
 class GroupInvariants:
+    """The reflection invariants of one group, from its degrees alone.
+
+    `degrees` are ascending; `exponents` are d_i - 1; `codegrees` are
+    h - d_i, paired with the degrees in reverse order (duality of a
+    well-generated group).  `coxeter_number` is h = (N + N*) / n, with
+    N = `num_reflections` and N* = `num_hyperplanes`; `order` is the
+    product of the degrees; `poincare` is prod [d_i]_q.
+    """
+
     degrees: tuple[int, ...]
     codegrees: tuple[int, ...]
     exponents: tuple[int, ...]

@@ -49,6 +49,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MSymbol:
+    """An m-symbol: m rows, each a strictly increasing tuple of
+    non-negative integers (checked on construction)."""
+
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):

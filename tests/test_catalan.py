@@ -18,6 +18,7 @@ from spetscat.exactnum import (
 from spetscat.groups import Gm1n, Gmmn, TypeA, invariants
 from spetscat.labels import all_labels
 from spetscat.degrees import all_char_data, poincare
+from spetscat.fourier import verify_transform_swap
 from spetscat.catalan import (
     catalan,
     closed_form_main,
@@ -219,7 +220,7 @@ def test_char_sum_matches_term_by_term(g):
 
 def test_parking_rhs_matches_laurent_power():
     for n in range(6):
-        for p in range(1, 25):
+        for p in [*range(1, 25), 97, 10**6, 10**20]:
             expect = (q_monomial(p) - 1) ** n
             assert CATALAN_MODULE._q_power_minus_one(p, n).to_json() == expect.to_json()
 
@@ -279,11 +280,10 @@ def test_values_at_matches_eval_at_each_p(g):
 @pytest.mark.parametrize(
     "g", [Gm1n(2, 3), Gm1n(3, 3), Gmmn(3, 3), Gmmn(4, 3), Gm1n(4, 2)], ids=str
 )
-def test_value_table_holds_one_row_per_coprime_residue(g):
+def test_value_table_holds_one_row_per_coprime_residue(g, cold_tables):
     """After vanishing and parking (which reads -p) over every coprime
     p <= 6h, the table holds phi(h) rows for the group."""
     h = invariants(g).coxeter_number
-    CATALAN_MODULE._values_at.cache_clear()
     for p in coprime_range(h, 6 * h):
         assert verify_vanishing(g, p).equal
         assert verify_parking(g, p).equal
@@ -317,3 +317,120 @@ def test_trace_sum_with_perturbed_poincare_still_raises(g, monkeypatch):
             trace_sum(g, p)
         with pytest.raises(InexactDivisionError):
             _trace_sum_root_order_h(g, p)
+
+
+# ---------------------------------------------------------------------------
+# the per-residue class sums
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty value and class-sum tables before the test and after it, so
+    no test sees rows another test built or perturbed."""
+    CATALAN_MODULE._values_at.cache_clear()
+    CATALAN_MODULE._class_sums.cache_clear()
+    yield
+    CATALAN_MODULE._values_at.cache_clear()
+    CATALAN_MODULE._class_sums.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "g", [Gm1n(2, 3), Gm1n(3, 3), Gmmn(3, 3), Gmmn(4, 3), Gm1n(4, 2)], ids=str
+)
+def test_class_sums_hold_n_plus_one_classes_per_residue(g, cold_tables):
+    """After main, vanishing, parking and swap over every coprime
+    p <= 6h, the class sums hold at most one entry per residue and sum
+    (three sums, phi(h) residues), and every entry holds the n+1
+    classes h_char = k h."""
+    h = invariants(g).coxeter_number
+    residues = coprime_range(h, h)
+    feg, deg, dim = CATALAN_MODULE._FEG, CATALAN_MODULE._DEG, CATALAN_MODULE._dim
+    sums = [(feg, deg), (feg, dim)]
+    for p in coprime_range(h, 6 * h):
+        assert verify_main(g, [p])[0].equal
+        assert verify_vanishing(g, p).equal
+        assert verify_parking(g, p).equal
+        if g == Gm1n(g.m, g.n):
+            assert verify_transform_swap(g, p).equal
+    if g == Gm1n(g.m, g.n):
+        sums.append((deg, feg))
+    size = CATALAN_MODULE._class_sums.cache_info().currsize
+    assert size == len(sums) * len(residues) <= 3 * len(residues)
+    expect = [(k - g.n) * h for k in range(g.n + 1)]
+    for r in residues:
+        for at_root, weight in sums:
+            classes = CATALAN_MODULE._class_sums(g, r, at_root, weight)
+            assert sorted(k for k, _ in classes) == expect, (r, at_root, weight)
+    # every entry read above was already there
+    assert CATALAN_MODULE._class_sums.cache_info().currsize == size
+
+
+def _char_sum_from_rows(g, p, at_root, weight):
+    """The character sum term by term from the rows of _values_at, with
+    no class sums."""
+    h = invariants(g).coxeter_number
+    total = LaurentPoly({}, "q", h)
+    rows = CATALAN_MODULE._values_at(g, p % h)
+    for cd, values in zip(all_char_data(g).values(), rows):
+        scalar = at_root(values)
+        if not scalar.is_zero():
+            term = weight(cd).with_root_order(h) * scalar
+            total = total + term.shift((cd.h_char - g.n * h) * p)
+    return total
+
+
+def _reference_reports(g, p):
+    """main, parking and swap at p through _timed, every character sum
+    built by _char_sum_from_rows."""
+    feg, deg, dim = CATALAN_MODULE._FEG, CATALAN_MODULE._DEG, CATALAN_MODULE._dim
+    h = invariants(g).coxeter_number
+
+    def trace():
+        total = _char_sum_from_rows(g, p, feg, deg).collapse()
+        divisor = poincare(g).with_root_order(total.root_order)
+        return poly_exact_div(total, divisor).in_q()
+
+    timed = CATALAN_MODULE._timed
+    return [
+        timed(g, p, "main", lhs=trace, rhs=lambda: closed_form_main(g, p)),
+        timed(
+            g, h - p, "parking",
+            lhs=lambda: _char_sum_from_rows(g, p - h, feg, dim).in_q(),
+            rhs=lambda: (q_monomial(h - p) - 1) ** g.n,
+        ),
+        timed(
+            g, p, "swap",
+            lhs=lambda: _char_sum_from_rows(g, p, feg, deg),
+            rhs=lambda: _char_sum_from_rows(g, p, deg, feg),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("g", [Gm1n(2, 3), Gm1n(3, 2), Gm1n(4, 2)], ids=str)
+@pytest.mark.parametrize("change", ["double", "fill"])
+def test_perturbed_value_row_fails_like_the_reference(g, change, cold_tables, monkeypatch):
+    """One character's Feg in the row of residue 1 is doubled where it
+    is nonzero, or set to 1 where it is zero.  main and swap at p = 1
+    and parking at p = h - 1 (which reads residue 1) read that row;
+    each must fail with the witness the term-by-term sum gives."""
+    h = invariants(g).coxeter_number
+    values_at = CATALAN_MODULE._values_at
+    row = values_at(g, 1)
+    i = max(
+        j for j, v in enumerate(row) if v.feg.is_zero() == (change == "fill")
+    )
+    moved = row[i]._replace(feg=row[i].feg * 2 if change == "double" else exactnum.ONE)
+    perturbed = row[:i] + (moved,) + row[i + 1:]
+    monkeypatch.setattr(
+        CATALAN_MODULE,
+        "_values_at",
+        lambda g1, r: perturbed if (g1, r) == (g, 1) else values_at(g1, r),
+    )
+    got = [
+        verify_main(g, [1])[0],
+        verify_parking(g, h - 1),
+        verify_transform_swap(g, 1),
+    ]
+    for rep, ref in zip(got, _reference_reports(g, 1)):
+        assert rep.equal is False, rep.claim
+        assert (rep.claim, rep.witness) == (ref.claim, ref.witness)

@@ -41,6 +41,9 @@ def test_invalid_group_is_usage_error(capsys):
     assert "irreducible" in err
 
 
+HUGE_P = "100000000000000000001"
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -55,6 +58,11 @@ def test_invalid_group_is_usage_error(capsys):
         (("trace", "--group", "G(2,1,2)", "--p", "-3..3"), "p = -3 must be a positive"),
         (("verify", "main", "--group", "G(2,1,2)", "--p", "2,4"), "'2,4'"),
         (("catalan", "--group", "G(2,1,2)", "--p", "2..2"), "h = 4"),
+        # above sys.maxsize: no dense list that long can exist
+        (("catalan", "--q", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
+        (("trace", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
+        (("verify", "main", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
+        (("verify", "all", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
     ],
 )
 def test_bad_p_or_trivial_group_is_usage_error(capsys, argv, needle):
@@ -62,6 +70,17 @@ def test_bad_p_or_trivial_group_is_usage_error(capsys, argv, needle):
     assert code == 2
     assert needle in err
     assert out == ""
+
+
+def test_parking_and_vanishing_pass_above_sys_maxsize(capsys):
+    """Both sides of parking and the vanishing values are sparse, so a p
+    past any dense list still checks."""
+    for claim in ("parking", "vanishing"):
+        code, out, err = run(
+            capsys, "verify", claim, "--group", "G(2,1,2)", "--p", HUGE_P
+        )
+        assert (code, err) == (0, ""), claim
+        assert "1 checks, 1 passed, 0 failed" in out
 
 
 def test_failed_verification_exits_one(capsys, monkeypatch):
