@@ -25,12 +25,10 @@ trace, parking and the swap all read it.  Characters with one h_char
 share the shift q^((h_char - n h) p / h), and at zeta_h^p only those
 with h_char = k h (k = 0..n) keep a nonzero value in these sums, so
 each sum has n+1 classes of terms.  Per residue, each class's terms are
-added once into one polynomial: in Python ints, every scalar and weight
-coefficient scaled over one common denominator, each coefficient
-gathered as exponents of a root of unity, reduced once and divided by
-the scale once.  A sum at p then shifts the n+1 class polynomials of
-p mod h and adds them.  Parking's right side is built term by term by
-the binomial theorem, so its size does not grow with p.
+added once into one polynomial in the root variable.  A sum at p then
+shifts the n+1 class polynomials of p mod h and adds them.  Parking's
+right side is built term by term by the binomial theorem, so its size
+does not grow with p.
 """
 from __future__ import annotations
 
@@ -39,7 +37,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -52,12 +50,11 @@ from .exactnum import (
     _int_poly,
     _mul_q_int,
     _poly_mul,
-    _reduce,
     eval_at_root,
     poly_exact_div,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
-from .labels import CharLabel, dimension, exterior_twist_label, label_str
+from .labels import dimension, exterior_twist_label, label_str
 from .degrees import all_char_data, poincare
 
 __all__ = [
@@ -199,14 +196,9 @@ def _values_at(g: GroupSpec, r: int) -> tuple[_AtRoot, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _dimension_poly(lab: CharLabel) -> LaurentPoly:
-    """A character's degree as a constant polynomial: the parking weight."""
-    return _int_poly([dimension(lab)])
-
-
 def _dim(cd) -> LaurentPoly:
-    return _dimension_poly(cd.label)
+    """A character's degree as a constant polynomial: the parking weight."""
+    return _int_poly([dimension(cd.label)])
 
 
 @lru_cache(maxsize=None)
@@ -222,65 +214,19 @@ def _class_sums(
     a class adds to one polynomial that depends on p only through
     r = p mod h.  Only characters whose `at_root` value is nonzero
     count; on the checks' sums those form the n+1 classes h_char = k h.
-
-    Each coefficient is gathered unreduced, as exponents of zeta_L with
-    L the lcm of h and every conductor that occurs.  Every scalar and
-    weight coefficient is scaled to an int over one common denominator
-    D, so the slots sum ints that carry D^2; each slot is reduced once
-    and divided by D^2 once.  Every coefficient is at conductor L.
+    Each term is weight(char) in the root variable times its scalar, so
+    every coefficient is at the scalars' conductor h.
     """
     h = invariants(g).coxeter_number
     nh = g.n * h
-    terms = []
+    classes: dict[int, LaurentPoly] = {}
     for cd, values in zip(all_char_data(g).values(), _values_at(g, r)):
         scalar = at_root(values)
         if not scalar.is_zero():
-            terms.append((weight(cd), scalar, cd.h_char - nh))
-    n = lcm(
-        h,
-        *(s.n for _, s, _ in terms),
-        *(c.n for w, _, _ in terms for c in w.t.values()),
-    )
-    scale = lcm(
-        *(v.denominator for _, s, _ in terms for v in s.c.values()),
-        *(
-            v.denominator
-            for w, _, _ in terms
-            for c in w.t.values()
-            for v in c.c.values()
-        ),
-    )
-    classes: dict[int, dict[int, dict[int, int]]] = {}
-    for w, s, k in terms:
-        slots = classes.setdefault(k, {})
-        step, rest = divmod(h, w.root_order)
-        if rest:
-            raise ValueError(f"root_order {h} is not a multiple of {w.root_order}")
-        s_int = [
-            (i * (n // s.n), v.numerator * (scale // v.denominator))
-            for i, v in s.c.items()
-        ]
-        for e, c in w.t.items():
-            slot = slots.setdefault(e * step, {})
-            lift = n // c.n
-            for j, u in c.c.items():
-                j *= lift
-                u = u.numerator * (scale // u.denominator)
-                for i, v in s_int:
-                    x = (j + i) % n
-                    slot[x] = slot.get(x, 0) + u * v
-    den = scale * scale
-    out = []
-    for k, slots in classes.items():
-        coeffs = {}
-        for e, slot in slots.items():
-            acc = _reduce(n, slot)
-            if acc:
-                coeffs[e] = Cyclotomic(
-                    n, {j: Fraction(v, den) for j, v in acc.items()}, reduced=True
-                )
-        out.append((k, coeffs))
-    return tuple(out)
+            k = cd.h_char - nh
+            term = weight(cd).with_root_order(h) * scalar
+            classes[k] = classes[k] + term if k in classes else term
+    return tuple((k, s.t) for k, s in classes.items())
 
 
 def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:

@@ -47,11 +47,16 @@ def _parse_p_spec(spec: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise UsageError(
+                f"--p {chunk!r} is neither an integer nor a range lo..hi"
+            ) from None
     if not out:
         raise UsageError(f"empty p specification {spec!r}")
     return out

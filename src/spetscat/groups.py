@@ -90,6 +90,8 @@ def parse_group(text: str) -> GroupSpec:
             rank = int(s[1:])
         except ValueError:
             raise ValueError(f"cannot parse group {text!r}") from None
+        if rank < 1:
+            raise ValueError(f"type A needs a rank of at least 1, got {text!r}")
         return TypeA(rank + 1)
     if s.startswith("G(") and s.endswith(")"):
         body = s[2:-1].split(",")

@@ -6,7 +6,7 @@ import pytest
 from spetscat.catalan import closed_form_main
 from spetscat.cli import main
 from spetscat.exactnum import q_monomial
-from spetscat.groups import KIND_G1, parse_group
+from spetscat.groups import KIND_G1, invariants, parse_group
 
 # the package re-exports the function catalan under the submodule's name
 CATALAN_MODULE = importlib.import_module("spetscat.catalan")
@@ -63,6 +63,12 @@ HUGE_P = "100000000000000000001"
         (("trace", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
         (("verify", "main", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
         (("verify", "all", "--group", "G(2,1,2)", "--p", HUGE_P), f"p = {HUGE_P} is too large"),
+        # the token the user typed, not int()'s message
+        (("catalan", "--group", "G(2,1,2)", "--p", "1.5"), "--p '1.5'"),
+        (("verify", "main", "--group", "G(2,1,2)", "--p", "1e3"), "--p '1e3'"),
+        (("trace", "--group", "G(2,1,2)", "--p", "x..3"), "--p 'x..3'"),
+        (("catalan", "--group", "A0", "--p", "1"), "'A0'"),
+        (("catalan", "--group", "A-1", "--p", "1"), "'A-1'"),
     ],
 )
 def test_bad_p_or_trivial_group_is_usage_error(capsys, argv, needle):
@@ -142,6 +148,40 @@ def test_chars_json_conductors(capsys, group):
                 want = 1
             conductors = {c["conductor"] for _, c in row[key]["terms"]}
             assert conductors == {want}, (row["label"], key, conductors)
+
+
+@pytest.mark.parametrize("group", ["G(2,1,2)", "G(3,1,3)", "G(3,3,3)", "G(4,4,3)"])
+def test_verify_json_conductors(capsys, group):
+    """The character sums of main and parking are written in q with
+    every coefficient at conductor h, their closed forms at conductor 1,
+    and both sides of the swap in the root variable y (root order h) at
+    conductor h."""
+    g = parse_group(group)
+    h = invariants(g).coxeter_number
+    code, out, _ = run(capsys, "verify", "all", "--group", group, "--json")
+    assert code == 0
+    want = {
+        ("main", "lhs"): (1, h),
+        ("main", "rhs"): (1, 1),
+        ("parking", "lhs"): (1, h),
+        ("parking", "rhs"): (1, 1),
+        ("swap", "lhs"): (h, h),
+        ("swap", "rhs"): (h, h),
+    }
+    claims = set()
+    for rep in json.loads(out):
+        claims.add(rep["claim"])
+        for side in ("lhs", "rhs"):
+            if rep["claim"] == "vanishing":
+                assert rep[side] is None
+                continue
+            root_order, conductor = want[rep["claim"], side]
+            poly = rep[side]
+            assert poly["root_order"] == root_order, (rep["p"], rep["claim"], side)
+            conductors = {c["conductor"] for _, c in poly["terms"]}
+            assert conductors == {conductor}, (rep["p"], rep["claim"], side, conductors)
+    swap = {"swap"} if g.kind == KIND_G1 else set()
+    assert claims == {"main", "vanishing", "parking"} | swap
 
 
 def test_symbols_text_and_json_agree(capsys):
