@@ -54,7 +54,7 @@ from .exactnum import (
     poly_exact_div,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
-from .labels import dimension, exterior_twist_label, label_str
+from .labels import _check_twist, dimension, exterior_twist_label, label_str
 from .degrees import all_char_data, poincare
 
 __all__ = [
@@ -106,10 +106,7 @@ def coprime_range(h: int, upper: int) -> tuple[int, ...]:
 def _check_p(g: GroupSpec, p: int) -> int:
     if p < 1:
         raise ValueError(f"p = {p} must be a positive integer")
-    h = invariants(g).coxeter_number
-    if gcd(p, h) != 1:
-        raise ValueError(f"p = {p} is not coprime to the Coxeter number h = {h}")
-    return h
+    return _check_twist(g, p)
 
 
 def _check_dense(p: int, length: int, what: str) -> None:

@@ -2,9 +2,16 @@
 Fourier pairing reports, Catalan numbers, trace sums, and the exact
 verification suites, as aligned text or JSON.
 
-Exit status: 0 when every requested verification passes (and for plain
-table commands), 1 when a verification fails or a computation surfaces a
-mathematical inconsistency, 2 on usage errors.
+`main` is the only entry.  It parses the arguments and applies the usage
+rules in this order: the group must parse; type A runs `catalan` only;
+`catalan` and `trace` need `--p`; then the handler's own checks
+(`fourier` and `verify swap` need G(m,1,n), `--p` a usable p).  Each
+handler, bound to its subcommand by `set_defaults`, only computes:
+`(g, args) -> (payload, lines, ok)`.  `main` prints the JSON payload or
+the text lines and sets the exit status: 0 when every requested
+verification passes (and for plain table commands), 1 when one fails or
+a computation surfaces a mathematical inconsistency, 2 on a usage error
+(argparse's, or a `UsageError` or `ValueError` printed as `error: ...`).
 """
 from __future__ import annotations
 
@@ -62,13 +69,13 @@ def _parse_p_spec(spec: str) -> list[int]:
     return out
 
 
-def _resolve_p_list(g: GroupSpec, spec: str | None, default_span: int = 3) -> list[int]:
+def _resolve_p_list(g: GroupSpec, spec: str | None) -> list[int]:
     """p values: an explicit singleton is kept as given, for the
     computation to validate; ranges are filtered to the coprime residues;
-    default is all coprime p in [1, default_span * h]."""
+    default is all coprime p in [1, 3h]."""
     h = invariants(g).coxeter_number
     if spec is None:
-        return list(coprime_range(h, default_span * h))
+        return list(coprime_range(h, 3 * h))
     values = _parse_p_spec(spec)
     if "," not in spec and ".." not in spec:
         return values
@@ -90,25 +97,12 @@ def _join_negative_p(argv: list[str]) -> list[str]:
     return out
 
 
-def _need_labels(g: GroupSpec):
-    if g.kind == KIND_A:
-        raise UsageError(
-            "type A mode supports the catalan command only; "
-            "use a G(m,1,n) or G(m,m,n) group here"
-        )
+def _status(r) -> str:
+    """The pass/FAIL verdict of a report and its witness, if any."""
+    return ("pass" if r.equal else "FAIL") + (f"  witness: {r.witness}" if r.witness else "")
 
 
-def _emit(args, payload, text_lines):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_chars(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
+def _cmd_chars(g: GroupSpec, args):
     data = all_char_data(g)
     payload = [data[lab].to_json() for lab in all_labels(g)]
     lines = []
@@ -122,13 +116,10 @@ def _cmd_chars(args) -> int:
         lines.append(f"    feg   = {cd.feg}")
         lines.append(f"    deg   = {cd.deg}")
         lines.append(f"    schur = {cd.schur}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_symbols(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
+def _cmd_symbols(g: GroupSpec, args):
     kind = "content1" if g.kind == KIND_G1 else "content0"
     payload = []
     lines = []
@@ -149,41 +140,30 @@ def _cmd_symbols(args) -> int:
             f"{label_str(lab):24s} symbol={symbol_str(s):20s} "
             f"rank={rank} content={content} defect={defect} s={rotation_stabilizer(s)}"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_families(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
+def _cmd_families(g: GroupSpec, args):
     fams = family_invariants(g)
     payload = [
-        {
-            "members": [label_str(lab) for lab in fam.members],
-            "a": a,
-            "A": big_a,
-        }
+        {"members": [label_str(lab) for lab in fam.members], "a": a, "A": big_a}
         for fam, a, big_a in fams
     ]
     lines = [
         f"a={a:<3d} A={big_a:<3d} {{{', '.join(label_str(l) for l in fam.members)}}}"
         for fam, a, big_a in fams
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_fourier(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
+def _cmd_fourier(g: GroupSpec, args):
     if g.kind != KIND_G1:
         raise UsageError("the Fourier pairing is defined for G(m,1,n) groups")
-    t1 = verify_T1(g)
-    t23 = pairing_symmetry_report(g)
+    reports = [verify_T1(g), pairing_symmetry_report(g)]
     matrices = [pairing_matrix(g, fam) for fam in families(g)]
     payload = {
         "matrices": [m.to_json() for m in matrices],
-        "reports": [t1.to_json(), t23.to_json()],
+        "reports": [r.to_json() for r in reports],
     }
     lines = []
     for mat in matrices:
@@ -194,19 +174,11 @@ def _cmd_fourier(args) -> int:
             lines.append(
                 f"  {label_str(lab):24s} [" + ", ".join(str(c) for c in row) + "]"
             )
-    lines.extend(
-        f"{r.claim:6s}: {'pass' if r.equal else 'FAIL'}"
-        + (f"  witness: {r.witness}" if r.witness else "")
-        for r in (t1, t23)
-    )
-    _emit(args, payload, lines)
-    return 0 if t1.equal and t23.equal else VERIFY_ERROR
+    lines.extend(f"{r.claim:6s}: {_status(r)}" for r in reports)
+    return payload, lines, all(r.equal for r in reports)
 
 
-def _cmd_catalan(args) -> int:
-    g = parse_group(args.group)
-    if args.p is None:
-        raise UsageError("catalan requires --p")
+def _cmd_catalan(g: GroupSpec, args):
     p_list = _resolve_p_list(g, args.p)
     payload = []
     lines = []
@@ -218,20 +190,13 @@ def _cmd_catalan(args) -> int:
             val = catalan(g, p)
             payload.append({"group": str(g), "p": p, "catalan": str(val)})
         lines.append(f"p={p}: {val}" if len(p_list) > 1 else str(val))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_trace(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
-    if args.p is None:
-        raise UsageError("trace requires --p")
-    p_list = _resolve_p_list(g, args.p)
+def _cmd_trace(g: GroupSpec, args):
     payload = []
     lines = []
-    code = 0
-    for p in p_list:
+    for p in _resolve_p_list(g, args.p):
         try:
             val = trace_sum(g, p)
             payload.append({"group": str(g), "p": p, "trace": val.to_json()})
@@ -239,19 +204,11 @@ def _cmd_trace(args) -> int:
         except (InexactDivisionError, FractionalPowerError) as exc:
             payload.append({"group": str(g), "p": p, "error": str(exc)})
             lines.append(f"p={p}: FAILED ({exc})")
-            code = VERIFY_ERROR
-    _emit(args, payload, lines)
-    return code
+    return payload, lines, all("error" not in row for row in payload)
 
 
-def _cmd_verify(args) -> int:
-    g = parse_group(args.group)
-    _need_labels(g)
-    claims = (
-        ["main", "vanishing", "parking", "swap"]
-        if args.claim == "all"
-        else [args.claim]
-    )
+def _cmd_verify(g: GroupSpec, args):
+    claims = ["main", "vanishing", "parking", "swap"] if args.claim == "all" else [args.claim]
     if "swap" in claims and g.kind != KIND_G1:
         if args.claim == "swap":
             raise UsageError("the swap identity is a G(m,1,n) check")
@@ -264,20 +221,12 @@ def _cmd_verify(args) -> int:
         "swap": verify_transform_swap,
     }
     reports = [checks[claim](g, p) for claim in claims for p in p_list]
-    payload = [r.to_json() for r in reports]
-    lines = [
-        f"{r.claim:10s} p={r.p:<4d} {'pass' if r.equal else 'FAIL'}"
-        + (f"  witness: {r.witness}" if r.witness else "")
-        for r in reports
-    ]
-    ok = all(r.equal for r in reports)
+    passed = sum(1 for r in reports if r.equal)
+    lines = [f"{r.claim:10s} p={r.p:<4d} {_status(r)}" for r in reports]
     lines.append(
-        f"{len(reports)} checks, "
-        f"{sum(1 for r in reports if r.equal)} passed, "
-        f"{sum(1 for r in reports if not r.equal)} failed"
+        f"{len(reports)} checks, {passed} passed, {len(reports) - passed} failed"
     )
-    _emit(args, payload, lines)
-    return 0 if ok else VERIFY_ERROR
+    return [r.to_json() for r in reports], lines, passed == len(reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,37 +239,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_p=False, p_help="p value, list (1,3) or range (1..7)"):
+    def add(name, handler, help, needs_p=False, claim=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if claim:
+            p.add_argument("claim", choices=["main", "vanishing", "parking", "swap", "all"])
         p.add_argument("--group", required=True, help='e.g. "G(3,1,2)", "G(4,4,3)", "A2"')
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         if needs_p:
-            p.add_argument("--p", help=p_help)
+            p.add_argument("--p", help="p value, list (1,3) or range (1..7)")
+        return p
 
-    add_common(sub.add_parser("chars", help="per-character invariant table"))
-    add_common(sub.add_parser("symbols", help="symbol table with statistics"))
-    add_common(sub.add_parser("families", help="family partition with shared (a, A)"))
-    add_common(sub.add_parser("fourier", help="pairing matrices and T1/T2/T3 report"))
-    pc = sub.add_parser("catalan", help="rational Catalan numbers")
-    add_common(pc, needs_p=True)
+    add("chars", _cmd_chars, "per-character invariant table")
+    add("symbols", _cmd_symbols, "symbol table with statistics")
+    add("families", _cmd_families, "family partition with shared (a, A)")
+    add("fourier", _cmd_fourier, "pairing matrices and T1/T2/T3 report")
+    pc = add("catalan", _cmd_catalan, "rational Catalan numbers", needs_p=True)
     pc.add_argument("--q", action="store_true", help="the q-deformation")
-    add_common(sub.add_parser("trace", help="the trace sum as a Laurent polynomial"), needs_p=True)
-    pv = sub.add_parser("verify", help="run an exact verification suite")
-    pv.add_argument(
-        "claim", choices=["main", "vanishing", "parking", "swap", "all"]
-    )
-    add_common(pv, needs_p=True)
+    add("trace", _cmd_trace, "the trace sum as a Laurent polynomial", needs_p=True)
+    add("verify", _cmd_verify, "run an exact verification suite", needs_p=True, claim=True)
     return parser
-
-
-_HANDLERS = {
-    "chars": _cmd_chars,
-    "symbols": _cmd_symbols,
-    "families": _cmd_families,
-    "fourier": _cmd_fourier,
-    "catalan": _cmd_catalan,
-    "trace": _cmd_trace,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -331,10 +269,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        g = parse_group(args.group)
+        if g.kind == KIND_A and args.command != "catalan":
+            raise UsageError(
+                "type A mode supports the catalan command only; "
+                "use a G(m,1,n) or G(m,m,n) group here"
+            )
+        if args.command in ("catalan", "trace") and args.p is None:
+            raise UsageError(f"{args.command} requires --p")
+        payload, lines, ok = args.handler(g, args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -73,6 +73,11 @@ def m_partitions(m: int, n: int) -> tuple[MPartition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _m_partition_set(m: int, n: int) -> frozenset[MPartition]:
+    return frozenset(m_partitions(m, n))
+
+
 def conjugate_partition(lam: Partition) -> Partition:
     if not lam:
         return ()
@@ -143,6 +148,8 @@ class CharLabel:
             )
         if sum(sum(p) for p in self.parts) != self.group.n:
             raise ValueError(f"label sizes must sum to n = {self.group.n}")
+        if self.parts not in _m_partition_set(len(self.parts), self.group.n):
+            raise ValueError(f"label components {self.parts} are not all partitions")
         if self.parts != _canonical(self.group, self.parts):
             raise ValueError("G(m,m,n) labels use the canonical rotation")
         if not 0 <= self.component < _stabilizer(self.group, self.parts):
@@ -179,10 +186,12 @@ def dimension(lab: CharLabel) -> int:
     return d // _stabilizer(lab.group, lab.parts)
 
 
-def _check_twist(g: GroupSpec, p: int):
+def _check_twist(g: GroupSpec, p: int) -> int:
+    """h, after refusing a p that is not coprime to it."""
     h = invariants(g).coxeter_number
     if gcd(p, h) != 1:
         raise ValueError(f"p = {p} is not coprime to the Coxeter number h = {h}")
+    return h
 
 
 def _twist_parts(g: GroupSpec, k: int, slot: int) -> MPartition:
@@ -253,17 +262,17 @@ def parse_label(g: GroupSpec, text: str) -> CharLabel:
         component = int(comp)
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"cannot parse label {text!r}")
-    body = s[1:-1]
     comps: list[Partition] = []
     depth = 0
     cur = ""
-    for ch in body + ",":
+    for ch in s[1:-1] + ",":
         if ch == "," and depth == 0:
-            cur = cur.strip()
             if not (cur.startswith("(") and cur.endswith(")")):
                 raise ValueError(f"cannot parse label {text!r}")
-            inner = cur[1:-1]
-            comps.append(tuple(int(x) for x in inner.split(",") if x) if inner else ())
+            try:
+                comps.append(tuple(int(x) for x in cur[1:-1].split(",") if x))
+            except ValueError:
+                raise ValueError(f"cannot parse label {text!r}") from None
             cur = ""
         else:
             if ch == "(":
@@ -271,4 +280,6 @@ def parse_label(g: GroupSpec, text: str) -> CharLabel:
             elif ch == ")":
                 depth -= 1
             cur += ch
+    if cur:
+        raise ValueError(f"cannot parse label {text!r}")
     return CharLabel(g, tuple(comps), component)

@@ -1,5 +1,8 @@
 import importlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +241,21 @@ def test_swap_restricted_to_gm1n(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def _pinned_text():
+    """(argv, stdout) pairs from cli_text.txt: each section opens with a
+    `$ spetscat ...` line and holds the command's whole text output."""
+    text = (Path(__file__).parent / "cli_text.txt").read_text()
+    sections = re.split(r"^\$ spetscat (.*)\n", text, flags=re.M)[1:]
+    return [
+        pytest.param(shlex.split(cmd), out, id=cmd)
+        for cmd, out in zip(sections[::2], sections[1::2])
+    ]
+
+
+@pytest.mark.parametrize("argv, want", _pinned_text())
+def test_text_output_is_pinned(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == want

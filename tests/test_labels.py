@@ -115,6 +115,21 @@ def test_label_string_round_trip():
         assert parse_label(g1, label_str(lab)) == lab
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[(1,2),()]", "not all partitions"),
+        ("[(3,0),()]", "not all partitions"),
+        ("[(2),(1]", "cannot parse label '[(2),(1]'"),  # unterminated component
+        ("[(a),()]", "cannot parse label '[(a),()]'"),  # not an integer
+    ],
+)
+def test_parse_label_refuses_malformed(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_label(Gm1n(2, 3), text)
+    assert message in str(info.value)
+
+
 def test_canonical_rotation_is_least():
     parts = ((), (2,), (1,))
     rep = canonical_rotation(parts)
@@ -138,6 +153,9 @@ def test_gmmn_label_validation():
         (Gmmn(3, 2), ((), (2,), ()), 0, False),  # but G(m,m,n) labels are
         (Gmmn(3, 3), ((1,), (1,), (1,)), 2, True),
         (Gmmn(3, 3), ((1,), (1,), (1,)), 3, False),
+        (Gm1n(2, 3), ((1, 2), ()), 0, False),  # parts must be partitions:
+        (Gm1n(2, 3), ((3, 0), ()), 0, False),  # weakly decreasing, no zeros
+        (Gmmn(3, 3), ((), (), (2, 1, 0)), 0, False),
     ],
 )
 def test_label_validation_by_kind(g, parts, component, valid):
