@@ -6,8 +6,9 @@ command whose output differs.
 Each command of a fixed matrix runs as `python -m spetscat ...` in a
 fresh process, once with SRC_A and once with SRC_B as the only entry of
 PYTHONPATH.  The matrix covers every subcommand in text and `--json` on
-G(2,1,2), G(3,1,2), G(3,3,3) and G(2,2,3), type A, usage errors and
-`--help`.  The `"ms": N` timings of JSON reports are masked.  Every
+G(2,1,2), G(3,1,2), G(3,3,3), G(2,2,3), G(4,1,2) and G(4,4,3) (m = 4
+is the first m with a nonzero component that is not coprime to m), type
+A, usage errors and `--help`.  The `"ms": N` timings of JSON reports are masked.  Every
 command whose stdout, stderr or exit code differs is printed; the exit
 status is 0 when none differs, 1 otherwise.  Standard library only.
 """
@@ -21,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-GROUPS = ["G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(2,2,3)"]
+GROUPS = ["G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(2,2,3)", "G(4,1,2)", "G(4,4,3)"]
 PER_GROUP = [
     ["chars"],
     ["symbols"],

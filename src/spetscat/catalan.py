@@ -54,7 +54,7 @@ from .exactnum import (
     poly_exact_div,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
-from .labels import _check_twist, dimension, exterior_twist_label, label_str
+from .labels import _check_twist, _exterior_twists, dimension, label_str
 from .degrees import all_char_data, poincare
 
 __all__ = [
@@ -246,7 +246,7 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
                 if c.is_zero():
                     continue
             out[e] = c
-    return LaurentPoly(out, "q", h, reduced=True)
+    return LaurentPoly(out, h, reduced=True)
 
 
 def _timed(
@@ -320,9 +320,7 @@ def verify_vanishing(g: GroupSpec, p: int) -> VerificationReport:
     h = _check_p(g, p)
 
     def failures():
-        twists = {
-            exterior_twist_label(g, k, p): k for k in range(g.n + 1)
-        }
+        twists = {lab: k for k, lab in enumerate(_exterior_twists(g, p % g.m))}
         for lab, values in zip(all_char_data(g), _values_at(g, p % h)):
             value = values.deg
             expected = (-1) ** twists[lab] if lab in twists else 0

@@ -120,12 +120,11 @@ def _cmd_chars(g: GroupSpec, args):
 
 
 def _cmd_symbols(g: GroupSpec, args):
-    kind = "content1" if g.kind == KIND_G1 else "content0"
     payload = []
     lines = []
     for lab in all_labels(g):
         s = symbol_of(lab)
-        rank, content, defect = symbol_stats(s, kind)
+        rank, content, defect = symbol_stats(s)
         payload.append(
             {
                 "label": label_str(lab),

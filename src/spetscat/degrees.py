@@ -61,8 +61,8 @@ from .exactnum import (
 from .groups import KIND_G1, GroupSpec, invariants
 from .labels import (
     CharLabel,
+    _exterior_twists,
     _rotations,
-    _twist_parts,
     all_labels,
     conjugate_partition,
     dimension,
@@ -388,19 +388,6 @@ class CharData:
         }
 
 
-def _exterior_twist_power(lab: CharLabel) -> int | None:
-    """k when the label has the exterior-twist shape (n-k) + column 1^k in
-    a component coprime to m, else None."""
-    g = lab.group
-    for k in range(g.n + 1):
-        for slot in range(g.m):
-            if k and gcd(slot, g.m) != 1:
-                continue
-            if _twist_parts(g, k, slot) == lab.parts:
-                return k
-    return None
-
-
 def char_data(lab: CharLabel) -> CharData:
     return all_char_data(lab.group)[lab]
 
@@ -412,11 +399,18 @@ def all_char_data(g: GroupSpec) -> dict[CharLabel, CharData]:
     The generalized Coxeter number is required to agree between (i) the
     valuation-plus-degree of the generic degree, (ii) the exponent-sum
     route through the fake degrees of the character and its dual, and
-    (iii) k times the Coxeter number on exterior-twist labels; any
-    mismatch raises.
+    (iii) k times the Coxeter number on exterior-twist labels, the
+    (n-k) + column 1^k shapes in a component coprime to m; any mismatch
+    raises.
     """
     inv = invariants(g)
     labs = all_labels(g)
+    twist_power = {
+        lab.parts: k
+        for slot in range(g.m)
+        if gcd(slot, g.m) == 1
+        for k, lab in enumerate(_exterior_twists(g, slot))
+    }
     fegs = {lab: fake_degree(lab) for lab in labs}
     out: dict[CharLabel, CharData] = {}
     for lab in labs:
@@ -435,7 +429,7 @@ def all_char_data(g: GroupSpec) -> dict[CharLabel, CharData]:
             raise AssertionError(
                 f"exponent-sum route disagrees with a + A for {lab}"
             )
-        k = _exterior_twist_power(lab)
+        k = twist_power.get(lab.parts)
         if k is not None and h_char != k * inv.coxeter_number:
             raise AssertionError(
                 f"exterior-twist label {lab} has h = {h_char}, "

@@ -20,11 +20,11 @@ the product of the other conjugates of x under Gal(Q(zeta_n)/Q), divided
 by the rational norm N(x), which x times that product equals.  It stays
 at conductor n.
 
-A `LaurentPoly` is a Laurent polynomial in one variable with Cyclotomic
-coefficients.  Fractional powers of the nominal variable q are realized
-through a declared `root_order` D: the terms live in integer powers of
-y = q^(1/D).  When every exponent is divisible by D the value is an
-honest Laurent polynomial in q.
+A `LaurentPoly` is a Laurent polynomial in q with Cyclotomic
+coefficients.  Fractional powers of q are realized through a declared
+`root_order` D: the terms live in integer powers of y = q^(1/D).  When
+every exponent is divisible by D the value is an honest Laurent
+polynomial in q.
 
 `poly_exact_div` divides dense `int` lists when every coefficient of
 both operands is an integer, each operand's coefficients share one
@@ -455,6 +455,8 @@ class Cyclotomic:
 
 def cyclo(n: int, k: int) -> Cyclotomic:
     """zeta_n^k as a canonical element of Q(zeta_n)."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be a positive conductor")
     return Cyclotomic(n, {k % n: Fraction(1)})
 
 
@@ -477,23 +479,18 @@ ONE = Cyclotomic.rational(1)
 
 
 class LaurentPoly:
-    """Laurent polynomial in one variable over cyclotomic numbers.
+    """Laurent polynomial in q over cyclotomic numbers.
 
     `terms` maps integer exponents of y to nonzero Cyclotomic
-    coefficients, where y^root_order = var.  Immutable.  With
+    coefficients, where y^root_order = q.  Immutable.  With
     `reduced=True` the caller vouches that every value of `terms` is a
     nonzero Cyclotomic, and the map is kept as it is.
     """
 
-    __slots__ = ("var", "root_order", "t")
+    __slots__ = ("root_order", "t")
 
     def __init__(
-        self,
-        terms: dict[int, Cyclotomic],
-        var: str = "q",
-        root_order: int = 1,
-        *,
-        reduced: bool = False,
+        self, terms: dict[int, Cyclotomic], root_order: int = 1, *, reduced: bool = False
     ):
         if root_order < 1:
             raise ValueError(f"root_order must be positive, got {root_order}")
@@ -506,7 +503,6 @@ class LaurentPoly:
                     c = Cyclotomic.rational(c)
                 if not c.is_zero():
                     clean[e] = c
-        object.__setattr__(self, "var", var)
         object.__setattr__(self, "root_order", root_order)
         object.__setattr__(self, "t", clean)
 
@@ -534,23 +530,21 @@ class LaurentPoly:
         if d % self.root_order:
             raise ValueError(f"root_order {d} is not a multiple of {self.root_order}")
         f = d // self.root_order
-        return LaurentPoly({e * f: c for e, c in self.t.items()}, self.var, d)
+        return LaurentPoly({e * f: c for e, c in self.t.items()}, d)
 
     def collapse(self) -> LaurentPoly:
         """Present with the smallest root_order dividing every exponent."""
         if self.root_order == 1 or not self.t:
-            return LaurentPoly(self.t, self.var, 1) if self.root_order != 1 else self
+            return LaurentPoly(self.t) if self.root_order != 1 else self
         g = self.root_order
         for e in self.t:
             g = gcd(g, e)
             if g == 1:
                 return self
-        return LaurentPoly(
-            {e // g: c for e, c in self.t.items()}, self.var, self.root_order // g
-        )
+        return LaurentPoly({e // g: c for e, c in self.t.items()}, self.root_order // g)
 
     def in_q(self) -> LaurentPoly:
-        """As a genuine Laurent polynomial in the nominal variable.
+        """As a genuine Laurent polynomial in q.
 
         Raises FractionalPowerError if some exponent is not divisible by
         the declared root order.
@@ -559,17 +553,15 @@ class LaurentPoly:
         if c.root_order != 1:
             bad = min(e for e in self.t if e % self.root_order)
             raise FractionalPowerError(
-                f"exponent {bad}/{self.root_order} of {self.var} is fractional"
+                f"exponent {bad}/{self.root_order} of q is fractional"
             )
         return c
 
     def _common(self, other) -> tuple[LaurentPoly, LaurentPoly]:
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = LaurentPoly({0: other}, self.var, 1)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented, NotImplemented
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
         d = self.root_order * other.root_order // gcd(self.root_order, other.root_order)
         return self.with_root_order(d), other.with_root_order(d)
 
@@ -583,12 +575,12 @@ class LaurentPoly:
         for e, c in b.t.items():
             v = out.get(e)
             out[e] = c if v is None else v + c
-        return LaurentPoly(out, a.var, a.root_order)
+        return LaurentPoly(out, a.root_order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.t.items()}, self.var, self.root_order)
+        return LaurentPoly({e: -c for e, c in self.t.items()}, self.root_order)
 
     def __sub__(self, other):
         a, b = self._common(other)
@@ -604,10 +596,8 @@ class LaurentPoly:
             if isinstance(other, (int, Fraction)):
                 other = Cyclotomic.rational(other)
             if other.is_zero():
-                return LaurentPoly({}, self.var, self.root_order)
-            return LaurentPoly(
-                {e: c * other for e, c in self.t.items()}, self.var, self.root_order
-            )
+                return LaurentPoly({}, self.root_order)
+            return LaurentPoly({e: c * other for e, c in self.t.items()}, self.root_order)
         a, b = self._common(other)
         if a is NotImplemented:
             return NotImplemented
@@ -618,14 +608,14 @@ class LaurentPoly:
                 v = acc.get(e)
                 p = c1 * c2
                 acc[e] = p if v is None else v + p
-        return LaurentPoly(acc, a.var, a.root_order)
+        return LaurentPoly(acc, a.root_order)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("use poly_exact_div for inverses")
-        out = LaurentPoly({0: ONE}, self.var, self.root_order)
+        out = LaurentPoly({0: ONE}, self.root_order)
         base = self
         while k:
             if k & 1:
@@ -637,9 +627,7 @@ class LaurentPoly:
 
     def shift(self, e: int) -> LaurentPoly:
         """Multiply by y^e (exponent shift in the root variable)."""
-        return LaurentPoly(
-            {k + e: c for k, c in self.t.items()}, self.var, self.root_order
-        )
+        return LaurentPoly({k + e: c for k, c in self.t.items()}, self.root_order)
 
     # -- comparison & display -------------------------------------------------
 
@@ -662,9 +650,9 @@ class LaurentPoly:
             if e == 0:
                 mono = ""
             elif self.root_order == 1:
-                mono = self.var if e == 1 else f"{self.var}^{e}"
+                mono = "q" if e == 1 else f"q^{e}"
             else:
-                mono = f"{self.var}^({e}/{self.root_order})"
+                mono = f"q^({e}/{self.root_order})"
             cs = str(c)
             if mono == "":
                 parts.append(cs)
@@ -686,7 +674,7 @@ class LaurentPoly:
 
     def to_json(self):
         return {
-            "var": self.var,
+            "var": "q",
             "root_order": self.root_order,
             "terms": [[e, self.t[e].to_json()] for e in sorted(self.t)],
         }
@@ -703,29 +691,29 @@ class LaurentPoly:
         return total
 
 
-def q_monomial(e: int, coeff=1, var: str = "q", root_order: int = 1) -> LaurentPoly:
-    return LaurentPoly({e: coeff}, var, root_order)
+def q_monomial(e: int, coeff=1) -> LaurentPoly:
+    return LaurentPoly({e: coeff})
 
 
-def q_poly(pairs, var: str = "q", root_order: int = 1) -> LaurentPoly:
+def q_poly(pairs) -> LaurentPoly:
     """LaurentPoly from (exponent, coefficient) pairs."""
     acc: dict[int, Cyclotomic] = {}
     for e, c in pairs:
         if isinstance(c, (int, Fraction)):
             c = Cyclotomic.rational(c)
         acc[e] = acc.get(e, ZERO) + c
-    return LaurentPoly(acc, var, root_order)
+    return LaurentPoly(acc)
 
 
-def q_int(n: int, var: str = "q") -> LaurentPoly:
+def q_int(n: int) -> LaurentPoly:
     """The q-analog [n]_q = 1 + q + ... + q^(n-1) for n >= 0."""
     if n < 0:
         raise ValueError(f"q-analog of a negative integer: {n}")
-    return LaurentPoly({e: ONE for e in range(n)}, var, 1)
+    return LaurentPoly({e: ONE for e in range(n)})
 
 
 def _int_poly(
-    coeffs: list[int], lo: int = 0, n: int = 1, var: str = "q", root_order: int = 1
+    coeffs: list[int], lo: int = 0, n: int = 1, root_order: int = 1
 ) -> LaurentPoly:
     """sum of coeffs[i] y^(lo + i) over an int list, each nonzero
     coefficient an integer at conductor n."""
@@ -735,7 +723,6 @@ def _int_poly(
             for i, c in enumerate(coeffs)
             if c
         },
-        var,
         root_order,
         reduced=True,
     )
@@ -760,10 +747,10 @@ def _ring_poly(
 
 
 def lpoly_from_json(data) -> LaurentPoly:
+    if data["var"] != "q":
+        raise ValueError(f"a LaurentPoly is in q, not {data['var']!r}")
     return LaurentPoly(
-        {int(e): cyclo_from_json(c) for e, c in data["terms"]},
-        data["var"],
-        data["root_order"],
+        {int(e): cyclo_from_json(c) for e, c in data["terms"]}, data["root_order"]
     )
 
 
@@ -780,7 +767,7 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     a, b = num._common(den)
     if num.is_zero():
-        return LaurentPoly({}, a.var, a.root_order)
+        return LaurentPoly({}, a.root_order)
     sa, sb = a.min_exp(), b.min_exp()
     if a.max_exp() - sa < b.max_exp() - sb:
         raise InexactDivisionError(f"degree of {den} exceeds degree of {num}")
@@ -788,9 +775,7 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if int_a is None or int_b is None or int_b[1][-1] not in (1, -1):
         return _cyclotomic_exact_div(a, b)
     (na, A), (nb, B) = int_a, int_b
-    return _int_poly(
-        _int_exact_div(A, B, sa), sa - sb, lcm(na, nb), a.var, a.root_order
-    )
+    return _int_poly(_int_exact_div(A, B, sa), sa - sb, lcm(na, nb), a.root_order)
 
 
 def _int_dense(f: LaurentPoly) -> tuple[int, list[int]] | None:
@@ -836,9 +821,7 @@ def _cyclotomic_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 f"remainder has a nonzero term at exponent {i + sa}"
             )
     return LaurentPoly(
-        {i + sa - sb: c for i, c in enumerate(Q) if not c.is_zero()},
-        a.var,
-        a.root_order,
+        {i + sa - sb: c for i, c in enumerate(Q) if not c.is_zero()}, a.root_order
     )
 
 
@@ -849,6 +832,8 @@ def eval_at_root(f: LaurentPoly, n: int, k: int) -> Cyclotomic:
     by its root order); otherwise FractionalPowerError is raised and the
     caller should evaluate in y via eval_y_at_root.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} must be a positive root order")
     return eval_y_at_root(f.in_q(), n, k)
 
 

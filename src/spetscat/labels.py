@@ -194,21 +194,26 @@ def _check_twist(g: GroupSpec, p: int) -> int:
     return h
 
 
-def _twist_parts(g: GroupSpec, k: int, slot: int) -> MPartition:
-    """(n-k) in component 0 and a column 1^k in component `slot` (the hook
-    (n-k, 1^k) when slot = 0, everything in component 0 when k = 0), in
-    the canonical rotation for G(m,m,n)."""
+@lru_cache(maxsize=None)
+def _exterior_twists(g: GroupSpec, slot: int) -> tuple[CharLabel, ...]:
+    """The exterior-twist labels at every p with p mod m = slot, for
+    k = 0..n: (n-k) in component 0 and a column 1^k in component `slot`
+    (the hook (n-k, 1^k) when slot = 0, everything in component 0 when
+    k = 0), in the canonical rotation for G(m,m,n), component index 0."""
     m, n = g.m, g.n
-    comps: list[Partition] = [()] * m
-    if k == 0:
-        comps[0] = (n,)
-    elif slot == 0:
-        comps[0] = tuple([n - k] + [1] * k) if n > k else (1,) * k
-    else:
-        if n > k:
-            comps[0] = (n - k,)
-        comps[slot] = (1,) * k
-    return _canonical(g, tuple(comps))
+    out = []
+    for k in range(n + 1):
+        comps: list[Partition] = [()] * m
+        if k == 0:
+            comps[0] = (n,)
+        elif slot == 0:
+            comps[0] = tuple([n - k] + [1] * k) if n > k else (1,) * k
+        else:
+            if n > k:
+                comps[0] = (n - k,)
+            comps[slot] = (1,) * k
+        out.append(CharLabel(g, _canonical(g, tuple(comps))))
+    return tuple(out)
 
 
 def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
@@ -218,7 +223,7 @@ def exterior_twist_label(g: GroupSpec, k: int, p: int) -> CharLabel:
     if not 0 <= k <= g.n:
         raise ValueError(f"exterior power index {k} out of range 0..{g.n}")
     _check_twist(g, p)
-    return CharLabel(g, _twist_parts(g, k, p % g.m))
+    return _exterior_twists(g, p % g.m)[k]
 
 
 def galois_twist(lab: CharLabel, p: int) -> CharLabel:
@@ -259,7 +264,10 @@ def parse_label(g: GroupSpec, text: str) -> CharLabel:
     component = 0
     if "#" in s:
         s, comp = s.rsplit("#", 1)
-        component = int(comp)
+        try:
+            component = int(comp)
+        except ValueError:
+            raise ValueError(f"cannot parse label {text!r}") from None
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"cannot parse label {text!r}")
     comps: list[Partition] = []

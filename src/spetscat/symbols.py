@@ -10,6 +10,10 @@ taken up to cyclic rotation of the rows and simultaneous shift
 
     (s_1, ..., s_M)  ->  (0, s_1 + 1, ..., s_M + 1)   (every row at once).
 
+A symbol's content class is its content mod m, read from the symbol
+itself: the defect formula (`raw_defect`) branches on it and refuses a
+content that is neither 0 nor 1 mod m.
+
 The group kind enters only as the content offset (`_content_offset`):
 how many entries row 0 of a principal symbol has beyond the other rows,
 1 for G(m,1,n) and 0 for G(m,m,n).  Rotations come from the labels
@@ -103,26 +107,9 @@ def symbol_defect(s: MSymbol) -> int:
     return raw_defect(s) % len(s.rows)
 
 
-def _check_content(i: int, m: int, kind: str) -> None:
-    """Raise unless content i of an m-symbol is in the class `kind` names
-    (see symbol_stats)."""
-    if kind == "content1":
-        if i % m != 1 % m:
-            raise ValueError(f"content {i} is not 1 mod {m}")
-    elif kind == "content0":
-        if i % m != 0:
-            raise ValueError(f"content {i} is not 0 mod {m}")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
-
-def symbol_stats(s: MSymbol, kind: str) -> tuple[int, int, int]:
-    """(rank, content, defect) for the requested content class.
-
-    kind is "content1" for symbols with content 1 mod m (the G(m,1,n)
-    convention) or "content0" for content 0 mod m (G(m,m,n)).
-    """
-    _check_content(s.content, len(s.rows), kind)
+def symbol_stats(s: MSymbol) -> tuple[int, int, int]:
+    """(rank, content, defect); the defect refuses a content that is
+    neither 0 nor 1 mod m."""
     return symbol_rank(s), s.content, symbol_defect(s)
 
 
@@ -253,11 +240,9 @@ def family_of(g: GroupSpec, lab: CharLabel) -> Family:
     raise KeyError(f"label {lab} not found in the families of {g}")
 
 
-def symbols_with_entries(
-    m: int, entries: tuple[int, ...], kind: str
-) -> tuple[MSymbol, ...]:
+def symbols_with_entries(m: int, entries: tuple[int, ...]) -> tuple[MSymbol, ...]:
     """All m-symbols with the given entry multiset, any row profile, whose
-    defect vanishes for the stated content class.
+    defect vanishes; the number of entries must be 0 or 1 mod m.
 
     Used to certify family enumerations (e.g. that a family contains no
     unexpected non-principal symbol).  Entries equal in value must land in
@@ -266,7 +251,8 @@ def symbols_with_entries(
     """
     entries = tuple(sorted(entries))
     i_total = len(entries)
-    _check_content(i_total, m, kind)
+    if i_total % m not in (0, 1 % m):
+        raise ValueError(f"content {i_total} is neither 0 nor 1 mod {m}")
     found: set[tuple[tuple[int, ...], ...]] = set()
 
     def assign(idx: int, rows: tuple[tuple[int, ...], ...]):

@@ -21,7 +21,7 @@ SIGNATURES = {
         "num_reflections", "num_hyperplanes", "order", "poincare",
     ),
     "GroupSpec": ("kind", "m", "n"),
-    "LaurentPoly": ("terms", "var", "root_order", "reduced"),
+    "LaurentPoly": ("terms", "root_order", "reduced"),
     "MSymbol": ("rows",),
     "NonabelianFourier": ("pairs", "matrix"),
     "PairingMatrix": ("family", "entries"),
@@ -61,15 +61,15 @@ SIGNATURES = {
     "parse_label": ("g", "text"),
     "poincare": ("g",),
     "poly_exact_div": ("num", "den"),
-    "q_int": ("n", "var"),
-    "q_monomial": ("e", "coeff", "var", "root_order"),
-    "q_poly": ("pairs", "var", "root_order"),
+    "q_int": ("n",),
+    "q_monomial": ("e", "coeff"),
+    "q_poly": ("pairs",),
     "reflection_character_sum": ("lab", "bound"),
     "rotation_stabilizer": ("s",),
     "schur_element": ("lab", "formula"),
     "standard_tableaux": ("shape",),
     "symbol_of": ("lab",),
-    "symbol_stats": ("s", "kind"),
+    "symbol_stats": ("s",),
     "symbol_str": ("s",),
     "tau": ("m",),
     "trace_sum": ("g", "p"),

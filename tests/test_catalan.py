@@ -188,7 +188,7 @@ def _char_sum_term_by_term(g, p, at_root, weight):
     at the root summed term by term, each weighted polynomial built as a
     LaurentPoly, shifted and added."""
     h = invariants(g).coxeter_number
-    total = LaurentPoly({}, "q", h)
+    total = LaurentPoly({}, h)
     for cd in all_char_data(g).values():
         scalar = exactnum.ZERO
         for e, c in at_root(cd).in_q().t.items():
@@ -369,7 +369,7 @@ def _char_sum_from_rows(g, p, at_root, weight):
     """The character sum term by term from the rows of _values_at, with
     no class sums."""
     h = invariants(g).coxeter_number
-    total = LaurentPoly({}, "q", h)
+    total = LaurentPoly({}, h)
     rows = CATALAN_MODULE._values_at(g, p % h)
     for cd, values in zip(all_char_data(g).values(), rows):
         scalar = at_root(values)

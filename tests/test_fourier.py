@@ -233,7 +233,7 @@ def test_assignment_classes_biject_with_family_symbols():
         entries = s0.entries()
         classes = _admissible_classes_brute_force(g.m, entries)
         expected = {
-            s.rows for s in symbols_with_entries(g.m, entries, "content1")
+            s.rows for s in symbols_with_entries(g.m, entries)
         }
         assert set(classes) == expected
         mult = 1

@@ -130,6 +130,20 @@ def test_parse_label_refuses_malformed(text, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "suffix, message",
+    [
+        ("#x", "cannot parse label '[(1),(1),(1)]#x'"),  # not an integer
+        ("#", "cannot parse label '[(1),(1),(1)]#'"),  # no index
+        ("#-1", "component index -1 out of range"),
+    ],
+)
+def test_parse_label_refuses_a_bad_component_index(suffix, message):
+    with pytest.raises(ValueError) as info:
+        parse_label(Gmmn(3, 3), "[(1),(1),(1)]" + suffix)
+    assert message in str(info.value)
+
+
 def test_canonical_rotation_is_least():
     parts = ((), (2,), (1,))
     rep = canonical_rotation(parts)

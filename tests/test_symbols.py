@@ -36,20 +36,19 @@ def test_symbol_validation():
 
 def test_stats_and_parity_guards():
     s = MSymbol(((2,), ()))
-    assert symbol_stats(s, "content1") == (2, 1, 0)
+    assert symbol_stats(s) == (2, 1, 0)
     with pytest.raises(ValueError):
-        symbol_stats(s, "content0")
+        symbol_stats(MSymbol(((1,), (2,), ())))  # content 2, m = 3
     zero_rows = MSymbol(((0,), (0,), (0,)))
-    assert symbol_stats(zero_rows, "content0") == (0, 3, 0)
+    assert symbol_stats(zero_rows) == (0, 3, 0)
 
 
 def test_all_label_symbols_reduced_rank_n():
     for g in (Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3), Gm1n(4, 2),
               Gmmn(3, 2), Gmmn(2, 3), Gmmn(3, 3), Gmmn(4, 3)):
-        kind = "content1" if g.kind == "Gm1n" else "content0"
         for lab in all_labels(g):
             s = symbol_of(lab)
-            rank, content, defect = symbol_stats(s, kind)
+            rank, content, defect = symbol_stats(s)
             assert rank == g.n
             assert defect == 0
             if g.kind == "Gm1n":
@@ -60,12 +59,11 @@ def test_all_label_symbols_reduced_rank_n():
 
 def test_shift_preserves_rank_and_defect():
     for g in (Gm1n(3, 2), Gmmn(3, 3)):
-        kind = "content1" if g.kind == "Gm1n" else "content0"
         for lab in all_labels(g):
             s = symbol_of(lab)
             for _ in range(3):
                 s = shift(s)
-                rank, _, defect = symbol_stats(s, kind)
+                rank, _, defect = symbol_stats(s)
                 assert rank == g.n and defect == 0
 
 
@@ -137,7 +135,7 @@ def test_trivial_family_certified_against_all_symbols():
     for g in (Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3)):
         triv = CharLabel(g, ((g.n,),) + ((),) * (g.m - 1))
         s = symbol_of(triv)
-        cands = symbols_with_entries(g.m, s.entries(), "content1")
+        cands = symbols_with_entries(g.m, s.entries())
         ranked = [c for c in cands if symbol_rank(c) == g.n]
         assert ranked == [s]
 
@@ -145,7 +143,7 @@ def test_trivial_family_certified_against_all_symbols():
 def test_nonprincipal_symbols_complete_the_b2_middle_family():
     refl = CharLabel(Gm1n(2, 2), ((1,), (1,)))
     s = symbol_of(refl)
-    cands = symbols_with_entries(2, s.entries(), "content1")
+    cands = symbols_with_entries(2, s.entries())
     ranked = [c for c in cands if symbol_rank(c) == 2]
     principal = [c for c in ranked if label_of_symbol(Gm1n(2, 2), c) is not None]
     assert len(ranked) == 4 and len(principal) == 3
