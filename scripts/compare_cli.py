@@ -8,9 +8,12 @@ fresh process, once with SRC_A and once with SRC_B as the only entry of
 PYTHONPATH.  The matrix covers every subcommand in text and `--json` on
 G(2,1,2), G(3,1,2), G(3,3,3), G(2,2,3), G(4,1,2) and G(4,4,3) (m = 4
 is the first m with a nonzero component that is not coprime to m), type
-A, usage errors and `--help`.  The `"ms": N` timings of JSON reports are masked.  Every
-command whose stdout, stderr or exit code differs is printed; the exit
-status is 0 when none differs, 1 otherwise.  Standard library only.
+A, usage errors and `--help`.  The `"ms": N` timings of JSON reports
+are masked.  Every command whose stdout, stderr or exit code differs is
+printed, with both exit codes when they differ and the first
+differing line of each differing stream, SRC_A's (-) above SRC_B's
+(+); the exit status is 0 when none differs, 1 otherwise.  Standard
+library only.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 GROUPS = ["G(2,1,2)", "G(3,1,2)", "G(3,3,3)", "G(2,2,3)", "G(4,1,2)", "G(4,4,3)"]
@@ -107,6 +111,14 @@ def run(src: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, MS.sub('"ms": N', proc.stdout), proc.stderr
 
 
+def first_difference(x: str, y: str) -> str:
+    """The number of the first line where two outputs differ, and that
+    line of each ("<end>" past the last line)."""
+    pairs = zip_longest(x.split("\n"), y.split("\n"), fillvalue="<end>")
+    i, (a, b) = next((i, ab) for i, ab in enumerate(pairs, 1) if ab[0] != ab[1])
+    return f"line {i}:\n    - {a}\n    + {b}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", type=Path, help="first source tree (holds spetscat/)")
@@ -126,6 +138,11 @@ def main() -> int:
                 name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y
             ]
             print(f"DIFF ({', '.join(parts)}): spetscat {shlex.join(argv)}")
+            if a[0] != b[0]:
+                print(f"  exit code: {a[0]} -> {b[0]}")
+            for name, x, y in zip(("stdout", "stderr"), a[1:], b[1:]):
+                if x != y:
+                    print(f"  {name} {first_difference(x, y)}")
     print(f"{len(commands)} commands, {differ} differ")
     return 1 if differ else 0
 

@@ -7,8 +7,9 @@ the canonical symmetrizing trace expands character by character as
     (1/P_W) * sum over characters of
         q^((h_char - n h) p / h) * Feg(zeta_h^p) * Deg(q),
 
-computed here in the root variable y with y^h = q so every exponent is
-an integer.  The claimed closed form is q^(-np) (1-q)^n Cat_p(W; q) with
+where only characters with h_char = k h keep a nonzero value at
+zeta_h^p, so every power of q is an integer.  The claimed closed form
+is q^(-np) (1-q)^n Cat_p(W; q) with
 
     Cat_p(W; q) = prod_i [p + (p e_i mod h)]_q / [d_i]_q,
 
@@ -22,11 +23,11 @@ The scalar depends on p only through p mod h.  So each group keeps a
 table of every character's Feg and Deg at zeta_h^r, one row per residue
 r that a check has asked for (at most phi(h) rows), and vanishing, the
 trace, parking and the swap all read it.  Characters with one h_char
-share the shift q^((h_char - n h) p / h), and at zeta_h^p only those
-with h_char = k h (k = 0..n) keep a nonzero value in these sums, so
-each sum has n+1 classes of terms.  Per residue, each class's terms are
-added once into one polynomial in the root variable.  A sum at p then
-shifts the n+1 class polynomials of p mod h and adds them.  Parking's
+share the shift q^((h_char - n h) p / h).  Per residue, each class's
+terms are added once into one polynomial in q; the n+1 classes
+h_char = k h (k = 0..n) are kept, and a class off a multiple of h must
+add to zero, or FractionalPowerError names it.  A sum at p then shifts
+each kept class of p mod h by q^(j p), j = k - n, and adds them.  Parking's
 right side is built term by term by the binomial theorem, so its size
 does not grow with p.
 """
@@ -54,7 +55,7 @@ from .exactnum import (
     poly_exact_div,
 )
 from .groups import KIND_G1, KIND_GM, GroupSpec, invariants
-from .labels import _check_twist, _exterior_twists, dimension, label_str
+from .labels import CharLabel, _check_twist, _exterior_twists, dimension, label_str
 from .degrees import all_char_data, poincare
 
 __all__ = [
@@ -161,10 +162,7 @@ def _first_diff(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
         return None
     diff = lhs - rhs
     e = diff.min_exp()
-    frac = (
-        f"q^{e}" if diff.root_order == 1 else f"q^({e}/{diff.root_order})"
-    )
-    return f"{frac}: {diff.coeff(e)}"
+    return f"q^{e}: {diff.coeff(e)}"
 
 
 class _AtRoot(NamedTuple):
@@ -203,42 +201,54 @@ def _class_sums(
     g: GroupSpec, r: int, at_root, weight
 ) -> tuple[tuple[int, dict[int, Cyclotomic]], ...]:
     """The character sum at zeta_h^r before the shift by p, one class of
-    terms per h_char: pairs of h_char - n h and the class's sum
-    at_root(char)(zeta_h^r) * weight(char), as exponents of y mapped to
-    nonzero coefficients.
+    terms per h_char: pairs of j = (h_char - n h) / h and the class's sum
+    at_root(char)(zeta_h^r) * weight(char), as exponents of q mapped to
+    nonzero coefficients at the scalars' conductor h.
 
-    Characters with one h_char share the shift y^((h_char - n h) p), so
-    a class adds to one polynomial that depends on p only through
-    r = p mod h.  Only characters whose `at_root` value is nonzero
-    count; on the checks' sums those form the n+1 classes h_char = k h.
-    Each term is weight(char) in the root variable times its scalar, so
-    every coefficient is at the scalars' conductor h.
+    Characters with one h_char share the shift q^((h_char - n h) p / h),
+    so a class depends on p only through r = p mod h.  Only characters
+    whose `at_root` value is nonzero count.  A class with h_char off a
+    multiple of h would shift by a fractional power of q, so its sum
+    must be zero; otherwise FractionalPowerError names r, the h_char and
+    the class's first label.
     """
     h = invariants(g).coxeter_number
     nh = g.n * h
-    classes: dict[int, LaurentPoly] = {}
+    sums: dict[int, LaurentPoly] = {}
+    first: dict[int, CharLabel] = {}
     for cd, values in zip(all_char_data(g).values(), _values_at(g, r)):
         scalar = at_root(values)
         if not scalar.is_zero():
-            k = cd.h_char - nh
-            term = weight(cd).with_root_order(h) * scalar
-            classes[k] = classes[k] + term if k in classes else term
-    return tuple((k, s.t) for k, s in classes.items())
+            k, term = cd.h_char, weight(cd) * scalar
+            sums[k] = sums[k] + term if k in sums else term
+            first.setdefault(k, cd.label)
+    out = []
+    for k, total in sums.items():
+        j, off = divmod(k - nh, h)
+        if not off:
+            out.append((j, total.t))
+        elif not total.is_zero():
+            raise FractionalPowerError(
+                f"residue {r} mod h = {h}: the class h_char = {k} (first label "
+                f"{label_str(first[k])}) has a nonzero sum at the fractional "
+                f"power q^({k - nh}p/{h})"
+            )
+    return tuple(out)
 
 
 def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
     """sum over characters of
-    y^((h_char - n h) p) * at_root(char)(zeta_h^p) * weight(char),
-    in the root variable y with y^h = q.  Callers validate p.
+    q^((h_char - n h) p / h) * at_root(char)(zeta_h^p) * weight(char).
+    Callers validate p.
 
     `at_root` reads a character's row of _values_at.  The sum shifts
-    each class of _class_sums at p mod h by its (h_char - n h) p, and
-    adds the classes where they meet on one exponent.
+    each class of _class_sums at p mod h by q^(j p), and adds the
+    classes where they meet on one exponent.
     """
     h = invariants(g).coxeter_number
     out: dict[int, Cyclotomic] = {}
-    for k, coeffs in _class_sums(g, p % h, at_root, weight):
-        shift = k * p
+    for j, coeffs in _class_sums(g, p % h, at_root, weight):
+        shift = j * p
         for e, c in coeffs.items():
             e += shift
             if e in out:
@@ -246,7 +256,7 @@ def _char_sum(g: GroupSpec, p: int, at_root, weight) -> LaurentPoly:
                 if c.is_zero():
                     continue
             out[e] = c
-    return LaurentPoly(out, h, reduced=True)
+    return LaurentPoly(out, reduced=True)
 
 
 def _timed(
@@ -278,28 +288,21 @@ def _timed(
 
 
 def trace_sum(g: GroupSpec, p: int) -> LaurentPoly:
-    """The character-expansion trace sum, as an exact Laurent polynomial
-    in q.
-
-    The character sum is collapsed to the smallest root order that
-    divides its exponents, which is q itself whenever the identity
-    holds, and divided by P_W there: long division commutes with
-    y -> y^k, so divisibility and fractional powers come out as they
-    would in the root variable, with shorter dense lists.
+    """The character-expansion trace sum divided by P_W, as an exact
+    Laurent polynomial in q.
 
     Raises InexactDivisionError if the Poincare polynomial fails to
-    divide the sum, and FractionalPowerError if the total retains
-    genuinely fractional q-powers; either would falsify the theory and
-    is surfaced, never suppressed.
+    divide the sum, and FractionalPowerError if a class of characters
+    adds a nonzero term at a fractional power of q; either would
+    falsify the theory and is surfaced, never suppressed.
     """
     if g.kind not in (KIND_G1, KIND_GM):
         raise ValueError("trace sums cover the imprimitive kinds only")
     _check_p(g, p)
-    total = _char_sum(g, p, _FEG, _DEG).collapse()
+    total = _char_sum(g, p, _FEG, _DEG)
     if not total.is_zero():
         _check_dense(p, total.max_exp() - total.min_exp() + 1, "the trace sum")
-    quotient = poly_exact_div(total, poincare(g).with_root_order(total.root_order))
-    return quotient.in_q()
+    return poly_exact_div(total, poincare(g))
 
 
 def verify_main(g: GroupSpec, p_list) -> tuple[VerificationReport, ...]:
@@ -337,12 +340,12 @@ def verify_parking(g: GroupSpec, p: int) -> VerificationReport:
 
     The left side is sum over characters of
     q^((n h - h_char) p / h) * dim * Feg(zeta_h^(-p)), the character sum
-    at -p; it must collapse to the exact polynomial (q^p - 1)^n.
+    at -p; it must equal the exact polynomial (q^p - 1)^n.
     """
     _check_p(g, p)
     return _timed(
         g, p, "parking",
-        lhs=lambda: _char_sum(g, -p, _FEG, _dim).in_q(),
+        lhs=lambda: _char_sum(g, -p, _FEG, _dim),
         rhs=lambda: _q_power_minus_one(p, g.n),
     )
 

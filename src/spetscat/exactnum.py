@@ -21,10 +21,7 @@ by the rational norm N(x), which x times that product equals.  It stays
 at conductor n.
 
 A `LaurentPoly` is a Laurent polynomial in q with Cyclotomic
-coefficients.  Fractional powers of q are realized through a declared
-`root_order` D: the terms live in integer powers of y = q^(1/D).  When
-every exponent is divisible by D the value is an honest Laurent
-polynomial in q.
+coefficients; every exponent is an integer.
 
 `poly_exact_div` divides dense `int` lists when every coefficient of
 both operands is an integer, each operand's coefficients share one
@@ -80,8 +77,9 @@ class InexactDivisionError(ArithmeticError):
 
 
 class FractionalPowerError(ArithmeticError):
-    """A value with genuinely fractional q-powers was used where a plain
-    Laurent polynomial in q is required."""
+    """A character sum kept a nonzero term at a fractional power of q.
+
+    Like InexactDivisionError, a mathematical finding."""
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +463,28 @@ def cyclo_rational(x) -> Cyclotomic:
 
 
 def cyclo_from_json(data) -> Cyclotomic:
-    return Cyclotomic(
-        data["conductor"], {int(e): Fraction(s) for e, s in data["coeffs"]}
-    )
+    n = _json_field(data, "conductor")
+    if type(n) is not int:
+        raise ValueError(f"field 'conductor': {n!r} is not an integer")
+    return Cyclotomic(n, _json_terms(data, "coeffs", Fraction))
+
+
+def _json_field(data, key: str):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"the record has no {key!r} field")
+    return data[key]
+
+
+def _json_terms(data, key: str, read) -> dict:
+    """The [exponent, value] pairs of data[key], each value read by
+    `read`; ValueError on an exponent that is not an int or repeats."""
+    out = {}
+    for e, v in _json_field(data, key):
+        if type(e) is not int or e in out:
+            why = "is not an integer" if type(e) is not int else "is repeated"
+            raise ValueError(f"field {key!r}: exponent {e!r} {why}")
+        out[e] = read(v)
+    return out
 
 
 ZERO = Cyclotomic.rational(0)
@@ -481,19 +498,15 @@ ONE = Cyclotomic.rational(1)
 class LaurentPoly:
     """Laurent polynomial in q over cyclotomic numbers.
 
-    `terms` maps integer exponents of y to nonzero Cyclotomic
-    coefficients, where y^root_order = q.  Immutable.  With
-    `reduced=True` the caller vouches that every value of `terms` is a
-    nonzero Cyclotomic, and the map is kept as it is.
+    `terms` maps integer exponents of q to nonzero Cyclotomic
+    coefficients.  Immutable.  With `reduced=True` the caller vouches
+    that every value of `terms` is a nonzero Cyclotomic, and the map is
+    kept as it is.
     """
 
-    __slots__ = ("root_order", "t")
+    __slots__ = ("t",)
 
-    def __init__(
-        self, terms: dict[int, Cyclotomic], root_order: int = 1, *, reduced: bool = False
-    ):
-        if root_order < 1:
-            raise ValueError(f"root_order must be positive, got {root_order}")
+    def __init__(self, terms: dict[int, Cyclotomic], *, reduced: bool = False):
         if reduced:
             clean = terms
         else:
@@ -503,7 +516,6 @@ class LaurentPoly:
                     c = Cyclotomic.rational(c)
                 if not c.is_zero():
                     clean[e] = c
-        object.__setattr__(self, "root_order", root_order)
         object.__setattr__(self, "t", clean)
 
     def __setattr__(self, *a):
@@ -523,70 +535,32 @@ class LaurentPoly:
     def coeff(self, e: int) -> Cyclotomic:
         return self.t.get(e, ZERO)
 
-    def with_root_order(self, d: int) -> LaurentPoly:
-        """The same value expressed with root_order d (a multiple of ours)."""
-        if d == self.root_order:
-            return self
-        if d % self.root_order:
-            raise ValueError(f"root_order {d} is not a multiple of {self.root_order}")
-        f = d // self.root_order
-        return LaurentPoly({e * f: c for e, c in self.t.items()}, d)
-
-    def collapse(self) -> LaurentPoly:
-        """Present with the smallest root_order dividing every exponent."""
-        if self.root_order == 1 or not self.t:
-            return LaurentPoly(self.t) if self.root_order != 1 else self
-        g = self.root_order
-        for e in self.t:
-            g = gcd(g, e)
-            if g == 1:
-                return self
-        return LaurentPoly({e // g: c for e, c in self.t.items()}, self.root_order // g)
-
-    def in_q(self) -> LaurentPoly:
-        """As a genuine Laurent polynomial in q.
-
-        Raises FractionalPowerError if some exponent is not divisible by
-        the declared root order.
-        """
-        c = self.collapse()
-        if c.root_order != 1:
-            bad = min(e for e in self.t if e % self.root_order)
-            raise FractionalPowerError(
-                f"exponent {bad}/{self.root_order} of q is fractional"
-            )
-        return c
-
-    def _common(self, other) -> tuple[LaurentPoly, LaurentPoly]:
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented, NotImplemented
-        d = self.root_order * other.root_order // gcd(self.root_order, other.root_order)
-        return self.with_root_order(d), other.with_root_order(d)
+            return LaurentPoly({0: other})
+        return other if isinstance(other, LaurentPoly) else NotImplemented
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        out = dict(a.t)
+        out = dict(self.t)
         for e, c in b.t.items():
             v = out.get(e)
             out[e] = c if v is None else v + c
-        return LaurentPoly(out, a.root_order)
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.t.items()}, self.root_order)
+        return LaurentPoly({e: -c for e, c in self.t.items()})
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a + (-b)
+        b = self._coerce(other)
+        return NotImplemented if b is NotImplemented else self + (-b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -596,26 +570,25 @@ class LaurentPoly:
             if isinstance(other, (int, Fraction)):
                 other = Cyclotomic.rational(other)
             if other.is_zero():
-                return LaurentPoly({}, self.root_order)
-            return LaurentPoly({e: c * other for e, c in self.t.items()}, self.root_order)
-        a, b = self._common(other)
-        if a is NotImplemented:
+                return LaurentPoly({})
+            return LaurentPoly({e: c * other for e, c in self.t.items()})
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, Cyclotomic] = {}
-        for e1, c1 in a.t.items():
-            for e2, c2 in b.t.items():
+        for e1, c1 in self.t.items():
+            for e2, c2 in other.t.items():
                 e = e1 + e2
                 v = acc.get(e)
                 p = c1 * c2
                 acc[e] = p if v is None else v + p
-        return LaurentPoly(acc, a.root_order)
+        return LaurentPoly(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("use poly_exact_div for inverses")
-        out = LaurentPoly({0: ONE}, self.root_order)
+        out = LaurentPoly({0: ONE})
         base = self
         while k:
             if k & 1:
@@ -626,18 +599,18 @@ class LaurentPoly:
         return out
 
     def shift(self, e: int) -> LaurentPoly:
-        """Multiply by y^e (exponent shift in the root variable)."""
-        return LaurentPoly({k + e: c for k, c in self.t.items()}, self.root_order)
+        """Multiply by q^e."""
+        return LaurentPoly({k + e: c for k, c in self.t.items()})
 
     # -- comparison & display -------------------------------------------------
 
     def __eq__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
+        b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        if set(a.t) != set(b.t):
+        if set(self.t) != set(b.t):
             return False
-        return all(a.t[e] == b.t[e] for e in a.t)
+        return all(self.t[e] == b.t[e] for e in self.t)
 
     __hash__ = None
 
@@ -647,12 +620,7 @@ class LaurentPoly:
         parts = []
         for e in sorted(self.t):
             c = self.t[e]
-            if e == 0:
-                mono = ""
-            elif self.root_order == 1:
-                mono = "q" if e == 1 else f"q^{e}"
-            else:
-                mono = f"q^({e}/{self.root_order})"
+            mono = "" if e == 0 else "q" if e == 1 else f"q^{e}"
             cs = str(c)
             if mono == "":
                 parts.append(cs)
@@ -675,20 +643,16 @@ class LaurentPoly:
     def to_json(self):
         return {
             "var": "q",
-            "root_order": self.root_order,
+            "root_order": 1,
             "terms": [[e, self.t[e].to_json()] for e in sorted(self.t)],
         }
 
     def value_at_one(self) -> Cyclotomic:
-        return eval_y_at_root(self, 1, 0)
+        return eval_at_root(self, 1, 0)
 
     def derivative_at_one(self) -> Cyclotomic:
-        """d/dy at y = 1 (for q-polynomials with root_order 1 this is the
-        usual derivative at q = 1)."""
-        total = ZERO
-        for e, c in self.t.items():
-            total = total + c * e
-        return total
+        """d/dq at q = 1."""
+        return sum((c * e for e, c in self.t.items()), ZERO)
 
 
 def q_monomial(e: int, coeff=1) -> LaurentPoly:
@@ -712,10 +676,8 @@ def q_int(n: int) -> LaurentPoly:
     return LaurentPoly({e: ONE for e in range(n)})
 
 
-def _int_poly(
-    coeffs: list[int], lo: int = 0, n: int = 1, root_order: int = 1
-) -> LaurentPoly:
-    """sum of coeffs[i] y^(lo + i) over an int list, each nonzero
+def _int_poly(coeffs: list[int], lo: int = 0, n: int = 1) -> LaurentPoly:
+    """sum of coeffs[i] q^(lo + i) over an int list, each nonzero
     coefficient an integer at conductor n."""
     return LaurentPoly(
         {
@@ -723,7 +685,6 @@ def _int_poly(
             for i, c in enumerate(coeffs)
             if c
         },
-        root_order,
         reduced=True,
     )
 
@@ -747,11 +708,12 @@ def _ring_poly(
 
 
 def lpoly_from_json(data) -> LaurentPoly:
-    if data["var"] != "q":
-        raise ValueError(f"a LaurentPoly is in q, not {data['var']!r}")
-    return LaurentPoly(
-        {int(e): cyclo_from_json(c) for e, c in data["terms"]}, data["root_order"]
-    )
+    var, order = _json_field(data, "var"), _json_field(data, "root_order")
+    if var != "q":
+        raise ValueError(f"field 'var': a LaurentPoly is in q, not {var!r}")
+    if type(order) is not int or order != 1:
+        raise ValueError(f"field 'root_order': must be 1, got {order!r}")
+    return LaurentPoly(_json_terms(data, "terms", cyclo_from_json))
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -765,17 +727,16 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    a, b = num._common(den)
     if num.is_zero():
-        return LaurentPoly({}, a.root_order)
-    sa, sb = a.min_exp(), b.min_exp()
-    if a.max_exp() - sa < b.max_exp() - sb:
+        return LaurentPoly({})
+    sa, sb = num.min_exp(), den.min_exp()
+    if num.max_exp() - sa < den.max_exp() - sb:
         raise InexactDivisionError(f"degree of {den} exceeds degree of {num}")
-    int_a, int_b = _int_dense(a), _int_dense(b)
+    int_a, int_b = _int_dense(num), _int_dense(den)
     if int_a is None or int_b is None or int_b[1][-1] not in (1, -1):
-        return _cyclotomic_exact_div(a, b)
+        return _cyclotomic_exact_div(num, den)
     (na, A), (nb, B) = int_a, int_b
-    return _int_poly(_int_exact_div(A, B, sa), sa - sb, lcm(na, nb), a.root_order)
+    return _int_poly(_int_exact_div(A, B, sa), sa - sb, lcm(na, nb))
 
 
 def _int_dense(f: LaurentPoly) -> tuple[int, list[int]] | None:
@@ -795,7 +756,7 @@ def _int_dense(f: LaurentPoly) -> tuple[int, list[int]] | None:
 
 def _cyclotomic_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """The division loop over Cyclotomic coefficients, for a nonzero a
-    and b at one root order with deg a >= deg b."""
+    and b with deg a >= deg b."""
     sa, sb = a.min_exp(), b.min_exp()
     da, db = a.max_exp() - sa, b.max_exp() - sb
     A = [ZERO] * (da + 1)
@@ -820,39 +781,24 @@ def _cyclotomic_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             raise InexactDivisionError(
                 f"remainder has a nonzero term at exponent {i + sa}"
             )
-    return LaurentPoly(
-        {i + sa - sb: c for i, c in enumerate(Q) if not c.is_zero()}, a.root_order
-    )
+    return LaurentPoly({i + sa - sb: c for i, c in enumerate(Q) if not c.is_zero()})
 
 
 def eval_at_root(f: LaurentPoly, n: int, k: int) -> Cyclotomic:
-    """Evaluate f at q = zeta_n^k, exactly, in Q(zeta_n).
-
-    f must be an honest Laurent polynomial in q (every exponent divisible
-    by its root order); otherwise FractionalPowerError is raised and the
-    caller should evaluate in y via eval_y_at_root.
-    """
+    """Evaluate f at q = zeta_n^k, exactly, with one reduction: the value
+    is at conductor L, the lcm of n and the coefficients' conductors, or
+    1 for the zero polynomial."""
     if n < 1:
         raise ValueError(f"n = {n} must be a positive root order")
-    return eval_y_at_root(f.in_q(), n, k)
-
-
-def eval_y_at_root(f: LaurentPoly, m: int, k: int) -> Cyclotomic:
-    """Evaluate in the root variable: substitute y = zeta_m^k.
-
-    Every term is added as exponents of zeta_L, L the lcm of m and the
-    coefficients' conductors, and the sum is reduced once; the value is
-    at conductor L, or 1 for the zero polynomial.
-    """
     if not f.t:
         return ZERO
-    n = lcm(m, *(c.n for c in f.t.values()))
-    step = n // m
+    big = lcm(n, *(c.n for c in f.t.values()))
+    step = big // n
     acc: dict[int, Fraction] = {}
     for e, c in f.t.items():
-        shift = (k * e) % m * step
-        lift = n // c.n
+        shift = (k * e) % n * step
+        lift = big // c.n
         for j, v in c.c.items():
-            x = (j * lift + shift) % n
+            x = (j * lift + shift) % big
             acc[x] = acc.get(x, 0) + v
-    return Cyclotomic(n, acc)
+    return Cyclotomic(big, acc)

@@ -21,7 +21,7 @@ SIGNATURES = {
         "num_reflections", "num_hyperplanes", "order", "poincare",
     ),
     "GroupSpec": ("kind", "m", "n"),
-    "LaurentPoly": ("terms", "root_order", "reduced"),
+    "LaurentPoly": ("terms", "reduced"),
     "MSymbol": ("rows",),
     "NonabelianFourier": ("pairs", "matrix"),
     "PairingMatrix": ("family", "entries"),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from spetscat import exactnum
 from spetscat.exactnum import (
+    FractionalPowerError,
     InexactDivisionError,
     LaurentPoly,
     eval_at_root,
@@ -16,7 +18,7 @@ from spetscat.exactnum import (
     q_poly,
 )
 from spetscat.groups import Gm1n, Gmmn, TypeA, invariants
-from spetscat.labels import all_labels
+from spetscat.labels import all_labels, label_str
 from spetscat.degrees import all_char_data, poincare
 from spetscat.fourier import verify_transform_swap
 from spetscat.catalan import (
@@ -114,17 +116,18 @@ def test_parking_p_one_is_q_minus_one_power():
 
 
 def test_individual_terms_may_be_fractional_but_total_is_not():
-    """Some labels carry genuinely fractional q-weights; only the total
-    collapses to integer powers."""
+    """Some labels carry genuinely fractional q-weights; their fake and
+    generic degrees vanish at every coprime root, so the total is in q."""
     g = Gm1n(3, 2)
     h = invariants(g).coxeter_number
-    n = g.n
     data = all_char_data(g)
-    fractional = [
-        lab for lab, cd in data.items() if ((cd.h_char - n * h) * 1) % h
-    ]
+    fractional = [lab for lab, cd in data.items() if (cd.h_char - g.n * h) % h]
     assert fractional, "expected at least one fractionally weighted label"
-    assert trace_sum(g, 1).root_order == 1
+    for r in coprime_range(h, h):
+        row = dict(zip(data, CATALAN_MODULE._values_at(g, r)))
+        for lab in fractional:
+            assert row[lab].feg.is_zero() and row[lab].deg.is_zero(), (r, lab)
+    assert trace_sum(g, 1) == closed_form_main(g, 1)
 
 
 def test_swap_route_gives_same_trace():
@@ -137,8 +140,8 @@ def test_swap_route_gives_same_trace():
             swapped = _char_sum_term_by_term(
                 g, p, CATALAN_MODULE._DEG, CATALAN_MODULE._FEG
             )
-            quotient = poly_exact_div(swapped, poincare(g).with_root_order(h))
-            assert quotient.in_q() == trace_sum(g, p)
+            quotient = poly_exact_div(LaurentPoly(swapped), _to_y(poincare(g), h))
+            assert _from_y(quotient.t, h) == trace_sum(g, p)
 
 
 def test_report_json_shape():
@@ -183,20 +186,48 @@ def test_type_a_has_catalan_but_no_trace():
 # one reduction per coefficient against the term-by-term loops
 
 
+# The references below add the character sum in the root variable
+# y = q^(1/h), as plain dicts from exponents of y to Cyclotomic values: a
+# term of weight q^e at the shift of h_char lands on y^((h_char - n h) p
+# + h e), so a fractional power of q would survive there as an exponent
+# off a multiple of h.
+
+
+def _add_term(total, e, c):
+    """total[e] += c in a dict of nonzero Cyclotomic values."""
+    c = total.pop(e, exactnum.ZERO) + c
+    if not c.is_zero():
+        total[e] = c
+
+
+def _to_y(f, h):
+    """A polynomial in q as one in y = q^(1/h)."""
+    return LaurentPoly({e * h: c for e, c in f.t.items()})
+
+
+def _from_y(terms, h):
+    """A dict in y = q^(1/h) as a polynomial in q; FractionalPowerError
+    on an exponent off a multiple of h."""
+    off = sorted(e for e in terms if e % h)
+    if off:
+        raise FractionalPowerError(f"exponent {off[0]}/{h} of q is fractional")
+    return LaurentPoly({e // h: c for e, c in terms.items()})
+
+
 def _char_sum_term_by_term(g, p, at_root, weight):
-    """The character sum with one reduced Cyclotomic per term: each value
-    at the root summed term by term, each weighted polynomial built as a
-    LaurentPoly, shifted and added."""
+    """The character sum in y with one reduced Cyclotomic per term: each
+    value at the root summed term by term, then each weighted term added
+    at its exponent of y."""
     h = invariants(g).coxeter_number
-    total = LaurentPoly({}, h)
+    total = {}
     for cd in all_char_data(g).values():
         scalar = exactnum.ZERO
-        for e, c in at_root(cd).in_q().t.items():
+        for e, c in at_root(cd).t.items():
             scalar = scalar + c * exactnum.cyclo(h, (p * e) % h)
         if scalar.is_zero():
             continue
-        term = weight(cd).with_root_order(h) * scalar
-        total = total + term.shift((cd.h_char - g.n * h) * p)
+        for e, c in weight(cd).t.items():
+            _add_term(total, (cd.h_char - g.n * h) * p + h * e, c * scalar)
     return total
 
 
@@ -215,7 +246,7 @@ def test_char_sum_matches_term_by_term(g):
             for at_root, weight in WEIGHTS:
                 fast = CATALAN_MODULE._char_sum(g, sp, at_root, weight)
                 ref = _char_sum_term_by_term(g, sp, at_root, weight)
-                assert fast.to_json() == ref.to_json(), (sp, at_root, weight)
+                assert fast.to_json() == _from_y(ref, h).to_json(), (sp, at_root, weight)
 
 
 def test_parking_rhs_matches_laurent_power():
@@ -291,12 +322,12 @@ def test_value_table_holds_one_row_per_coprime_residue(g, cold_tables):
 
 
 def _trace_sum_root_order_h(g, p):
-    """The trace sum divided by P_W in the root variable, before any
-    collapse."""
+    """The trace sum divided by P_W in the root variable y = q^(1/h),
+    then read back in q."""
     h = invariants(g).coxeter_number
     total = CATALAN_MODULE._char_sum(g, p, CATALAN_MODULE._FEG, CATALAN_MODULE._DEG)
-    divisor = CATALAN_MODULE.poincare(g).with_root_order(h)
-    return poly_exact_div(total, divisor).in_q()
+    divisor = _to_y(CATALAN_MODULE.poincare(g), h)
+    return _from_y(poly_exact_div(_to_y(total, h), divisor).t, h)
 
 
 @pytest.mark.parametrize("g", ACCEPTANCE_GROUPS, ids=str)
@@ -341,7 +372,7 @@ def test_class_sums_hold_n_plus_one_classes_per_residue(g, cold_tables):
     """After main, vanishing, parking and swap over every coprime
     p <= 6h, the class sums hold at most one entry per residue and sum
     (three sums, phi(h) residues), and every entry holds the n+1
-    classes h_char = k h."""
+    classes h_char = k h, keyed by j = k - n."""
     h = invariants(g).coxeter_number
     residues = coprime_range(h, h)
     feg, deg, dim = CATALAN_MODULE._FEG, CATALAN_MODULE._DEG, CATALAN_MODULE._dim
@@ -356,7 +387,7 @@ def test_class_sums_hold_n_plus_one_classes_per_residue(g, cold_tables):
         sums.append((deg, feg))
     size = CATALAN_MODULE._class_sums.cache_info().currsize
     assert size == len(sums) * len(residues) <= 3 * len(residues)
-    expect = [(k - g.n) * h for k in range(g.n + 1)]
+    expect = list(range(-g.n, 1))
     for r in residues:
         for at_root, weight in sums:
             classes = CATALAN_MODULE._class_sums(g, r, at_root, weight)
@@ -366,17 +397,17 @@ def test_class_sums_hold_n_plus_one_classes_per_residue(g, cold_tables):
 
 
 def _char_sum_from_rows(g, p, at_root, weight):
-    """The character sum term by term from the rows of _values_at, with
-    no class sums."""
+    """The character sum in q, added term by term in y from the rows of
+    _values_at, with no class sums."""
     h = invariants(g).coxeter_number
-    total = LaurentPoly({}, h)
+    total = {}
     rows = CATALAN_MODULE._values_at(g, p % h)
     for cd, values in zip(all_char_data(g).values(), rows):
         scalar = at_root(values)
         if not scalar.is_zero():
-            term = weight(cd).with_root_order(h) * scalar
-            total = total + term.shift((cd.h_char - g.n * h) * p)
-    return total
+            for e, c in weight(cd).t.items():
+                _add_term(total, (cd.h_char - g.n * h) * p + h * e, c * scalar)
+    return _from_y(total, h)
 
 
 def _reference_reports(g, p):
@@ -386,16 +417,14 @@ def _reference_reports(g, p):
     h = invariants(g).coxeter_number
 
     def trace():
-        total = _char_sum_from_rows(g, p, feg, deg).collapse()
-        divisor = poincare(g).with_root_order(total.root_order)
-        return poly_exact_div(total, divisor).in_q()
+        return poly_exact_div(_char_sum_from_rows(g, p, feg, deg), poincare(g))
 
     timed = CATALAN_MODULE._timed
     return [
         timed(g, p, "main", lhs=trace, rhs=lambda: closed_form_main(g, p)),
         timed(
             g, h - p, "parking",
-            lhs=lambda: _char_sum_from_rows(g, p - h, feg, dim).in_q(),
+            lhs=lambda: _char_sum_from_rows(g, p - h, feg, dim),
             rhs=lambda: (q_monomial(h - p) - 1) ** g.n,
         ),
         timed(
@@ -434,3 +463,49 @@ def test_perturbed_value_row_fails_like_the_reference(g, change, cold_tables, mo
     for rep, ref in zip(got, _reference_reports(g, 1)):
         assert rep.equal is False, rep.claim
         assert (rep.claim, rep.witness) == (ref.claim, ref.witness)
+
+
+# ---------------------------------------------------------------------------
+# the class check: a class off a multiple of h must add to zero
+
+
+@pytest.mark.parametrize("g", [Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3)], ids=str)
+def test_class_off_a_multiple_of_h_is_a_witness(g, cold_tables, monkeypatch):
+    """Move the trivial character's h_char one off its multiple of h:
+    its class is then alone and nonzero at every residue, so main,
+    parking and swap each fail with a FractionalPowerError that names
+    it."""
+    data = dict(all_char_data(g))
+    triv = next(lab for lab, cd in data.items() if cd.feg == 1)
+    data[triv] = dataclasses.replace(data[triv], h_char=data[triv].h_char + 1)
+    monkeypatch.setattr(CATALAN_MODULE, "all_char_data", lambda g1: data)
+    h = invariants(g).coxeter_number
+    for p in coprime_range(h, 2 * h):
+        reports = [verify_main(g, [p])[0], verify_parking(g, p), verify_transform_swap(g, p)]
+        for rep in reports:
+            assert rep.equal is False, (p, rep.claim)
+            assert rep.witness.startswith("FractionalPowerError"), (p, rep.witness)
+            assert label_str(triv) in rep.witness, (p, rep.witness)
+
+
+STRETCH_TIER = [Gm1n(2, 4), Gm1n(4, 3), Gm1n(5, 2), Gmmn(3, 4), Gm1n(3, 4)]
+
+
+@pytest.mark.parametrize("g", ACCEPTANCE_GROUPS + STRETCH_TIER, ids=str)
+def test_no_class_off_a_multiple_of_h_is_nonzero(g):
+    """At every coprime residue, each of the three sums the checks read
+    adds every class off a multiple of h to zero, summed here term by
+    term, and _class_sums keeps exactly the n+1 classes j = -n..0."""
+    h = invariants(g).coxeter_number
+    data = list(all_char_data(g).values())
+    for r in coprime_range(h, h):
+        rows = CATALAN_MODULE._values_at(g, r)
+        for at_root, weight in WEIGHTS:
+            off = {}
+            for cd, values in zip(data, rows):
+                if (cd.h_char - g.n * h) % h:
+                    term = weight(cd) * at_root(values)
+                    off[cd.h_char] = off.get(cd.h_char, LaurentPoly({})) + term
+            assert all(s.is_zero() for s in off.values()), (r, at_root, weight)
+            classes = CATALAN_MODULE._class_sums(g, r, at_root, weight)
+            assert sorted(j for j, _ in classes) == list(range(-g.n, 1)), (r, at_root)

@@ -155,10 +155,9 @@ def test_chars_json_conductors(capsys, group):
 
 @pytest.mark.parametrize("group", ["G(2,1,2)", "G(3,1,3)", "G(3,3,3)", "G(4,4,3)"])
 def test_verify_json_conductors(capsys, group):
-    """The character sums of main and parking are written in q with
-    every coefficient at conductor h, their closed forms at conductor 1,
-    and both sides of the swap in the root variable y (root order h) at
-    conductor h."""
+    """The character sums of main, parking and both sides of the swap
+    are written in q (root order 1) with every coefficient at conductor
+    h, and the closed forms at conductor 1."""
     g = parse_group(group)
     h = invariants(g).coxeter_number
     code, out, _ = run(capsys, "verify", "all", "--group", group, "--json")
@@ -168,8 +167,8 @@ def test_verify_json_conductors(capsys, group):
         ("main", "rhs"): (1, 1),
         ("parking", "lhs"): (1, h),
         ("parking", "rhs"): (1, 1),
-        ("swap", "lhs"): (h, h),
-        ("swap", "rhs"): (h, h),
+        ("swap", "lhs"): (1, h),
+        ("swap", "rhs"): (1, h),
     }
     claims = set()
     for rep in json.loads(out):

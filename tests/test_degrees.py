@@ -23,6 +23,7 @@ from spetscat.labels import (
     dimension,
     dual_label,
     exterior_twist_label,
+    galois_twist,
     rotate,
 )
 from spetscat.symbols import raw_defect, rotation_stabilizer, symbol_of
@@ -305,6 +306,22 @@ def test_h_char_of_twists():
         for k in range(g.n + 1):
             lab = exterior_twist_label(g, k, 1)
             assert data[lab].h_char == k * inv.coxeter_number
+
+
+@pytest.mark.parametrize(
+    "g", [Gm1n(3, 3), Gm1n(4, 2), Gm1n(5, 2), Gmmn(4, 3)], ids=str
+)
+def test_generic_degree_is_galois_equivariant(g):
+    """For k prime to h, the generic degree of the Galois twist by k is
+    the generic degree with zeta -> zeta^k applied to each coefficient."""
+    h = invariants(g).coxeter_number
+    for k in range(2, h):
+        if gcd(k, h) != 1:
+            continue
+        for lab in all_labels(g):
+            deg = generic_degree(lab)
+            image = LaurentPoly({e: c.galois(k) for e, c in deg.t.items()})
+            assert generic_degree(galois_twist(lab, k)) == image, (k, lab)
 
 
 def test_family_shared_a_A():
