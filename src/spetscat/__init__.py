@@ -63,13 +63,11 @@ from .degrees import (
 )
 from .fourier import (
     PairingMatrix,
-    NonabelianFourier,
     pairing,
     pairing_matrix,
     verify_T1,
     pairing_symmetry_report,
     verify_transform_swap,
-    nonabelian_fourier,
 )
 from .catalan import (
     VerificationReport,
@@ -85,8 +83,9 @@ from .catalan import (
 __version__ = "0.1.0"
 
 # Names of the explicit matrix models and of the small-group character
-# tables, whose modules no check and no character datum uses: each
-# module is imported on the first read of one of its names.
+# tables and their Fourier transform, whose modules no check and no
+# character datum uses: each module is imported on the first read of one
+# of its names.
 _LAZY = {
     "GeneratorMatrices": "tableaux",
     "build_model": "tableaux",
@@ -94,6 +93,8 @@ _LAZY = {
     "standard_tableaux": "tableaux",
     "FiniteGroup": "chartable",
     "character_table": "chartable",
+    "nonabelian_fourier": "chartable",
+    "NonabelianFourier": "chartable",
 }
 
 __all__ = [

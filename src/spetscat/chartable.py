@@ -1,5 +1,6 @@
 """Exact character tables of small finite groups given by multiplication
-tables, via the Burnside-Dixon method.
+tables, via the Burnside-Dixon method, and the non-abelian Fourier
+transform that reads them.
 
 The table entries are computed modulo a prime p with p = 1 mod exp(G)
 and p > 2 sqrt(|G|): the class-sum matrices are simultaneously
@@ -10,6 +11,11 @@ through the eigenvalue-multiplicity discrete Fourier sum.  No floating
 point, no approximation: the lifted multiplicities are honest
 non-negative integers bounded by the degree, hence recovered exactly
 from their residues.
+
+`nonabelian_fourier` pairs (class, centralizer character) pairs through
+the centralizers' tables; it is the finite-group side of Lusztig's
+embedding of type-B families, which the tests compare with
+`fourier.pairing_matrix`.
 """
 from __future__ import annotations
 
@@ -17,11 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exactnum import cyclo, cyclo_rational
+from .exactnum import Cyclotomic, cyclo, cyclo_rational
 
 __all__ = [
     "FiniteGroup",
     "character_table",
+    "nonabelian_fourier",
+    "NonabelianFourier",
     "cyclic_group_table",
     "symmetric_group_table",
     "direct_product_table",
@@ -368,3 +376,63 @@ def _char_sort_key(vals):
     return tuple(
         (v.n, tuple(sorted((e, str(c)) for e, c in v.c.items()))) for v in vals
     )
+
+
+# ---------------------------------------------------------------------------
+# the abstract non-abelian Fourier transform
+
+
+@dataclass(frozen=True)
+class NonabelianFourier:
+    """Transform matrix indexed by pairs (conjugacy class, irreducible
+    character of the centralizer of its representative)."""
+
+    pairs: tuple[tuple[int, int], ...]
+    matrix: tuple[tuple[Cyclotomic, ...], ...]
+
+
+def nonabelian_fourier(table, bound: int = 120) -> NonabelianFourier:
+    """The pairing matrix over all pairs (x, sigma) with x a class
+    representative and sigma an irreducible character of its centralizer:
+
+        {(x, sigma), (y, tau)} = 1/(|C(x)| |C(y)|) *
+            sum over g with x (g y g^-1) = (g y g^-1) x of
+                sigma(g y g^-1) tau(g^-1 x^-1 g).
+
+    Groups are given by multiplication tables; centralizer character
+    tables come from `character_table`.
+    """
+    group = FiniteGroup(tuple(tuple(row) for row in table))
+    if group.order > bound:
+        raise ValueError(f"group order {group.order} exceeds the bound {bound}")
+    reps = [cls[0] for cls in group.conjugacy_classes()]
+    # per representative x: |C(x)|, the class in C(x) of each element of
+    # C(x) (by its index in the group), and the characters of C(x)
+    cents = []
+    for x in reps:
+        elems = group.centralizer(x)
+        sub, index = group.subgroup(elems)
+        sub_classes, chars = character_table(sub)
+        class_of = {e: ci for ci, cls in enumerate(sub_classes) for e in cls}
+        cents.append((len(elems), {g: class_of[index[g]] for g in elems}, chars))
+    pairs = tuple(
+        (xi, si) for xi, (_, _, chars) in enumerate(cents) for si in range(len(chars))
+    )
+
+    def entry(pair_a, pair_b) -> Cyclotomic:
+        (xi, si), (yi, ti) = pair_a, pair_b
+        size_x, class_x, chars_x = cents[xi]
+        size_y, class_y, chars_y = cents[yi]
+        x, x_inv = reps[xi], group.inverse(reps[xi])
+        total = cyclo_rational(0)
+        for gg in range(group.order):
+            gi = group.inverse(gg)
+            u = group.mul(group.mul(gg, reps[yi]), gi)  # g y g^-1
+            if group.mul(x, u) != group.mul(u, x):
+                continue
+            v = group.mul(group.mul(gi, x_inv), gg)  # g^-1 x^-1 g
+            total = total + chars_x[si][class_x[u]] * chars_y[ti][class_y[v]]
+        return total / (size_x * size_y)
+
+    matrix = tuple(tuple(entry(a, b) for b in pairs) for a in pairs)
+    return NonabelianFourier(pairs, matrix)

@@ -466,7 +466,18 @@ def cyclo_from_json(data) -> Cyclotomic:
     n = _json_field(data, "conductor")
     if type(n) is not int:
         raise ValueError(f"field 'conductor': {n!r} is not an integer")
-    return Cyclotomic(n, _json_terms(data, "coeffs", Fraction))
+    return Cyclotomic(n, _json_terms(data, "coeffs", _json_fraction))
+
+
+def _json_fraction(v) -> Fraction:
+    """A coefficient of `coeffs`: an int or a fraction string, read
+    exactly; ValueError on anything else (a float, a bool)."""
+    if type(v) is int or isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"field 'coeffs': {v!r} is not an int or a fraction string")
 
 
 def _json_field(data, key: str):
@@ -477,9 +488,15 @@ def _json_field(data, key: str):
 
 def _json_terms(data, key: str, read) -> dict:
     """The [exponent, value] pairs of data[key], each value read by
-    `read`; ValueError on an exponent that is not an int or repeats."""
+    `read`; ValueError on a field that is not a list of pairs, or on an
+    exponent that is not an int or repeats."""
+    pairs = _json_field(data, key)
+    if not isinstance(pairs, list) or any(
+        not isinstance(pair, list) or len(pair) != 2 for pair in pairs
+    ):
+        raise ValueError(f"field {key!r}: {pairs!r} is not a list of [exponent, value] pairs")
     out = {}
-    for e, v in _json_field(data, key):
+    for e, v in pairs:
         if type(e) is not int or e in out:
             why = "is not an integer" if type(e) is not int else "is repeated"
             raise ValueError(f"field {key!r}: exponent {e!r} {why}")

@@ -1,6 +1,5 @@
-"""The Fourier pairing on characters of G(m,1,n), its exchange
-properties, and the abstract non-abelian Fourier transform of a small
-finite group.
+"""The Fourier pairing on characters of G(m,1,n) and its exchange
+properties.
 
 For a family of G(m,1,n) characters whose symbols share the entry
 multiset, index the entries by a totally ordered set Y (positions of the
@@ -55,8 +54,6 @@ __all__ = [
     "verify_T1",
     "pairing_symmetry_report",
     "verify_transform_swap",
-    "nonabelian_fourier",
-    "NonabelianFourier",
 ]
 
 
@@ -181,80 +178,3 @@ def verify_transform_swap(g: GroupSpec, p: int) -> VerificationReport:
         lhs=lambda: _char_sum(g, p, _FEG, _DEG),
         rhs=lambda: _char_sum(g, p, _DEG, _FEG),
     )
-
-
-# ---------------------------------------------------------------------------
-# the abstract non-abelian Fourier transform
-
-
-@dataclass(frozen=True)
-class NonabelianFourier:
-    """Transform matrix indexed by pairs (conjugacy class, irreducible
-    character of the centralizer of its representative)."""
-
-    pairs: tuple[tuple[int, int], ...]
-    matrix: tuple[tuple[Cyclotomic, ...], ...]
-
-
-def nonabelian_fourier(table, bound: int = 120) -> NonabelianFourier:
-    """The pairing matrix over all pairs (x, sigma) with x a class
-    representative and sigma an irreducible character of its centralizer:
-
-        {(x, sigma), (y, tau)} = 1/(|C(x)| |C(y)|) *
-            sum over g with x (g y g^-1) = (g y g^-1) x of
-                sigma(g y g^-1) tau(g^-1 x^-1 g).
-
-    Groups are given by multiplication tables; centralizer character
-    tables come from the exact modular-lift method in `chartable`.
-    """
-    from .chartable import FiniteGroup, character_table
-
-    group = FiniteGroup(tuple(tuple(row) for row in table))
-    if group.order > bound:
-        raise ValueError(f"group order {group.order} exceeds the bound {bound}")
-    classes = group.conjugacy_classes()
-    reps = [cls[0] for cls in classes]
-
-    cents = []
-    for x in reps:
-        cent_elems = group.centralizer(x)
-        sub, index = group.subgroup(cent_elems)
-        sub_classes, sub_chars = character_table(sub)
-        class_of_sub = {}
-        for ci, cls in enumerate(sub_classes):
-            for e in cls:
-                class_of_sub[e] = ci
-        cents.append((cent_elems, sub, index, class_of_sub, sub_chars))
-
-    pairs = [
-        (xi, si)
-        for xi in range(len(reps))
-        for si in range(len(cents[xi][4]))
-    ]
-
-    def entry(pair_a, pair_b) -> Cyclotomic:
-        xi, si = pair_a
-        yi, ti = pair_b
-        x, y = reps[xi], reps[yi]
-        cent_x, _, index_x, class_x, chars_x = cents[xi]
-        cent_y, _, index_y, class_y, chars_y = cents[yi]
-        sigma = chars_x[si]
-        tau_chr = chars_y[ti]
-        x_inv = group.inverse(x)
-        total = cyclo_rational(0)
-        for gg in range(group.order):
-            gi = group.inverse(gg)
-            u = group.mul(group.mul(gg, y), gi)
-            if group.mul(x, u) != group.mul(u, x):
-                continue
-            v = group.mul(group.mul(gi, x_inv), gg)
-            total = (
-                total
-                + sigma[class_x[index_x[u]]] * tau_chr[class_y[index_y[v]]]
-            )
-        return total / (len(cent_x) * len(cent_y))
-
-    matrix = tuple(
-        tuple(entry(a, b) for b in pairs) for a in pairs
-    )
-    return NonabelianFourier(tuple(pairs), matrix)

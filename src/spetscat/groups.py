@@ -7,8 +7,10 @@ which participates only in Catalan-number computations.
 
 Degrees, codegrees, exponents, the Coxeter number, reflection and
 hyperplane counts, and the Poincare polynomial are returned by
-`invariants`; `enumerate_reflections` lists the reflections of the
-imprimitive kinds as explicit monomial matrices.
+`invariants`.  An element of the imprimitive kinds is a monomial pair
+(perm, phases) of ints, with e_j -> zeta_m^phases[perm[j]] e_perm[j];
+`enumerate_reflections` lists the reflections as such pairs, and
+`_compose` multiplies two of them.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactnum import Cyclotomic, LaurentPoly, cyclo, cyclo_rational, q_int
+from .exactnum import LaurentPoly, q_int
 
 __all__ = [
     "GroupSpec",
@@ -178,33 +180,25 @@ def invariants(g: GroupSpec) -> GroupInvariants:
 
 @dataclass(frozen=True)
 class Reflection:
-    """A reflection as an n x n monomial matrix with cyclotomic entries.
+    """A reflection as its monomial pair: e_j maps to
+    zeta_m^phases[perm[j]] e_perm[j]."""
 
-    `perm` and `phases` carry the monomial data (column j maps e_j to
-    zeta_m^phases[perm[j]] e_perm[j]); `hyperplane_class` tags the
-    hyperplane orbit.
-    """
-
-    matrix: tuple[tuple[Cyclotomic, ...], ...]
-    order: int
-    hyperplane_class: str
     perm: tuple[int, ...]
     phases: tuple[int, ...]
 
 
-def _monomial_matrix(m: int, n: int, perm: tuple[int, ...], phases: tuple[int, ...]):
-    zero = cyclo_rational(0)
-    cols = []
-    for j in range(n):
-        col = [zero] * n
-        col[perm[j]] = cyclo(m, phases[perm[j]])
-        cols.append(col)
-    # rows[i][j] = entry mapping e_j into e_i
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+def _compose(m: int, a, b):
+    """The pair of a b (b acts first), pairs in `Reflection`'s convention."""
+    (pa, ha), (pb, hb) = a, b
+    perm = tuple(pa[k] for k in pb)
+    phases = [0] * len(perm)
+    for k in pb:
+        phases[pa[k]] = (hb[k] + ha[pa[k]]) % m
+    return perm, tuple(phases)
 
 
 def enumerate_reflections(g: GroupSpec, bound: int = 10**5):
-    """All reflections of G(m,1,n) or G(m,m,n) as monomial matrices.
+    """All reflections of G(m,1,n) or G(m,m,n) as monomial pairs.
 
     Diagonal reflections diag(..., zeta_m^k, ...) exist only for the
     G(m,1,n) kind; both kinds have the order-2 reflections swapping
@@ -218,36 +212,18 @@ def enumerate_reflections(g: GroupSpec, bound: int = 10**5):
             f"group order {m}^{n} * {n}! exceeds the reflection scan bound {bound}"
         )
     out: list[Reflection] = []
-    identity = tuple(range(n))
     if g.kind == KIND_G1:
         for i in range(n):
             for k in range(1, m):
                 phases = tuple(k if a == i else 0 for a in range(n))
-                out.append(
-                    Reflection(
-                        matrix=_monomial_matrix(m, n, identity, phases),
-                        order=m // math.gcd(m, k),
-                        hyperplane_class="diagonal",
-                        perm=identity,
-                        phases=phases,
-                    )
-                )
+                out.append(Reflection(tuple(range(n)), phases))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(m):
                 perm = list(range(n))
                 perm[i], perm[j] = j, i
                 phases = [0] * n
-                phases[j] = k % m
-                phases[i] = (-k) % m
-                out.append(
-                    Reflection(
-                        matrix=_monomial_matrix(m, n, tuple(perm), tuple(phases)),
-                        order=2,
-                        hyperplane_class="transposition",
-                        perm=tuple(perm),
-                        phases=tuple(phases),
-                    )
-                )
+                phases[i], phases[j] = -k % m, k
+                out.append(Reflection(tuple(perm), tuple(phases)))
     assert len(out) == invariants(g).num_reflections
     return tuple(out)

@@ -13,15 +13,17 @@ defining relations are verified exactly at build time.
 This module is the independent oracle for character values: reflections
 are mapped through the model by deterministic words in the generators,
 giving the content c(chi) as a normalized trace sum over reflections.
+Each word is checked against its reflection's (perm, phases) pair by
+multiplying the generators' pairs with `groups._compose`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from .exactnum import ONE, ZERO, Cyclotomic, cyclo, cyclo_rational
-from .groups import KIND_G1, GroupSpec, Reflection, enumerate_reflections
+from .groups import KIND_G1, GroupSpec, Reflection, _compose, enumerate_reflections
 from .labels import CharLabel, MPartition, dimension
 
 __all__ = [
@@ -253,33 +255,14 @@ def build_model(lab: CharLabel, bound: int = 200) -> GeneratorMatrices:
 # words in the generators
 
 
-def _word_monomial(m: int, n: int, word):
-    """Multiply the word out as a monomial map (perm, phases) for checking.
-
-    perm[j] is the image coordinate of e_j; phases are indexed by the
-    target coordinate, matching groups.Reflection.
-    """
+def _generator_pair(n: int, tok):
+    """The monomial pair of t or of s_i (token ("s", i) swaps the 0-based
+    coordinates i-1 and i), in `groups.Reflection`'s convention."""
+    if tok == "t":
+        return tuple(range(n)), (1,) + (0,) * (n - 1)
     perm = list(range(n))
-    phases = [0] * n
-    for tok in reversed(word):  # rightmost factor acts first
-        if tok == "t":
-            gp, gph = list(range(n)), [0] * n
-            gph[0] = 1
-        else:
-            i = tok[1]  # 1-based s_i swaps coordinates i-1, i
-            gp = list(range(n))
-            gp[i - 1], gp[i] = i, i - 1
-            gph = [0] * n
-        # iterating right to left builds current = tok . current
-        new_perm = [0] * n
-        new_phases = [0] * n
-        for j in range(n):
-            a = perm[j]
-            b = gp[a]
-            new_perm[j] = b
-            new_phases[b] = (phases[a] + gph[b]) % m
-        perm, phases = new_perm, new_phases
-    return tuple(perm), tuple(phases)
+    perm[tok[1] - 1], perm[tok[1]] = tok[1], tok[1] - 1
+    return tuple(perm), (0,) * n
 
 
 def _swap_word(i: int, j: int):
@@ -311,8 +294,10 @@ def reflection_word(g: GroupSpec, refl: Reflection):
         j = perm[i]
         k = phases[j]  # e_i -> zeta^k e_j
         word = t_coord_word(j, k) + _swap_word(i, j) + t_coord_word(j, (-k) % g.m)
-    assert _word_monomial(g.m, n, word) == (perm, phases), (
-        "reflection word failed to reproduce the monomial matrix"
+    identity = (tuple(range(n)), (0,) * n)
+    pairs = (_generator_pair(n, tok) for tok in word)
+    assert reduce(partial(_compose, g.m), pairs, identity) == (perm, phases), (
+        "reflection word failed to reproduce the reflection's pair"
     )
     return word
 

@@ -25,12 +25,15 @@ from spetscat.labels import (
 from spetscat.degrees import all_char_data, fake_degree, poincare, schur_element
 from spetscat.tableaux import reflection_character_sum
 from spetscat.fourier import (
-    nonabelian_fourier,
     pairing_symmetry_report,
     verify_T1,
     verify_transform_swap,
 )
-from spetscat.chartable import cyclic_group_table, symmetric_group_table
+from spetscat.chartable import (
+    cyclic_group_table,
+    nonabelian_fourier,
+    symmetric_group_table,
+)
 from spetscat.catalan import (
     catalan,
     coprime_range,

@@ -25,7 +25,7 @@ SIGNATURES = {
     "MSymbol": ("rows",),
     "NonabelianFourier": ("pairs", "matrix"),
     "PairingMatrix": ("family", "entries"),
-    "Reflection": ("matrix", "order", "hyperplane_class", "perm", "phases"),
+    "Reflection": ("perm", "phases"),
     "TypeA": ("n",),
     "VerificationReport": (
         "group", "p", "claim", "equal", "lhs", "rhs", "witness", "ms",

@@ -107,11 +107,19 @@ def _lpoly_json(**fields):
         (cyclo_from_json, {"conductor": 3, "coeffs": [[0, "1"], [0, "1"]]}, "coeffs"),
         (lpoly_from_json, _lpoly_json(root_order=2), "root_order"),
         (lpoly_from_json, _lpoly_json(root_order=True), "root_order"),
+        (cyclo_from_json, {"conductor": 1, "coeffs": [[0, 0.1]]}, "coeffs"),
+        (cyclo_from_json, {"conductor": 1, "coeffs": [[0, True]]}, "coeffs"),
+        (cyclo_from_json, {"conductor": 1, "coeffs": [[0, "x"]]}, "coeffs"),
+        (cyclo_from_json, {"conductor": 1, "coeffs": 5}, "coeffs"),
+        (cyclo_from_json, {"conductor": 1, "coeffs": [[0]]}, "coeffs"),
+        (lpoly_from_json, _lpoly_json(terms=[[0]]), "terms"),
     ],
     ids=[
         "no-var", "no-root_order", "no-terms", "no-coeffs", "no-conductor",
         "float-exponent", "bool-exponent", "float-k", "float-conductor",
         "repeated-exponent", "repeated-k", "root_order-2", "root_order-True",
+        "float-coefficient", "bool-coefficient", "word-coefficient",
+        "int-coeffs", "short-coeffs-pair", "short-terms-pair",
     ],
 )
 def test_malformed_json_is_refused_naming_the_field(read, data, field):

@@ -21,14 +21,17 @@ from spetscat.degrees import tau
 from spetscat.fourier import (
     PairingMatrix,
     _value_groups,
-    nonabelian_fourier,
     pairing,
     pairing_matrix,
     pairing_symmetry_report,
     verify_T1,
     verify_transform_swap,
 )
-from spetscat.chartable import cyclic_group_table, symmetric_group_table
+from spetscat.chartable import (
+    cyclic_group_table,
+    nonabelian_fourier,
+    symmetric_group_table,
+)
 
 TRIO = [Gm1n(2, 2), Gm1n(3, 2), Gm1n(2, 3)]
 # G(4,1,3) and G(5,1,2) stay out: the reference takes seconds on them
@@ -298,3 +301,18 @@ def test_nonabelian_fourier_trivial_group():
 def test_nonabelian_fourier_bound():
     with pytest.raises(ValueError):
         nonabelian_fourier(symmetric_group_table(4), bound=10)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_type_b_families_embed_in_the_transform_of_z2(n):
+    """Lusztig's embedding of type-B families into M(Z/2) (Characters of
+    reductive groups over a finite field, 1984, ch. 4): the pairing on
+    every 3-member family of G(2,1,n), in member order, is the leading 3x3
+    block of the non-abelian transform of Z/2."""
+    nf = nonabelian_fourier(cyclic_group_table(2))
+    block = tuple(row[:3] for row in nf.matrix[:3])
+    g = Gm1n(2, n)
+    trios = [fam for fam in families(g) if len(fam.members) == 3]
+    assert trios
+    for fam in trios:
+        assert pairing_matrix(g, fam).entries == block, fam

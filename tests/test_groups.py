@@ -1,5 +1,6 @@
+from functools import partial, reduce
 from itertools import permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from spetscat.groups import (
     Gm1n,
     Gmmn,
     TypeA,
+    _compose,
     enumerate_reflections,
     invariants,
     parse_group,
@@ -117,11 +119,54 @@ def test_reflections_match_brute_force_scan(g):
     assert got == want
 
 
-def test_reflection_matrices_are_monomial_with_correct_order():
-    for r in enumerate_reflections(Gm1n(3, 2)):
-        nonzero = sum(1 for row in r.matrix for x in row if not x.is_zero())
-        assert nonzero == 2
-        assert r.order >= 2 or r.hyperplane_class == "diagonal"
+# the nine acceptance groups, then the stretch tier
+PAIR_GROUPS = [
+    Gm1n(2, 2), Gm1n(2, 3), Gm1n(3, 2), Gm1n(3, 3), Gm1n(4, 2),
+    Gmmn(2, 3), Gmmn(3, 2), Gmmn(3, 3), Gmmn(4, 3),
+    Gm1n(2, 4), Gm1n(4, 3), Gm1n(5, 2), Gmmn(3, 4), Gm1n(3, 4),
+]
+
+
+def _pair_order(m, w):
+    identity = (tuple(range(len(w[0]))), (0,) * len(w[0]))
+    power, k = w, 1
+    while power != identity:
+        power, k = _compose(m, power, w), k + 1
+    return k
+
+
+def _coxeter_element(g, s0_phases):
+    """c = s_0 s_1 ... s_{n-1}, the s_i (i >= 1) swapping coordinates
+    i-1 and i; s_0 is diag(zeta_m, 1, ...) for G(m,1,n), and for G(m,m,n)
+    swaps the first two coordinates with phases `s0_phases`."""
+    m, n = g.m, g.n
+    identity = tuple(range(n))
+    swap01 = (1, 0) + identity[2:]
+    if g.kind == "Gm1n":
+        gens = [(identity, (1,) + (0,) * (n - 1))]
+    else:
+        gens = [(swap01, tuple(k % m for k in s0_phases) + (0,) * (n - 2))]
+    for i in range(1, n):
+        perm = list(identity)
+        perm[i - 1], perm[i] = i, i - 1
+        gens.append((tuple(perm), (0,) * n))
+    return reduce(partial(_compose, m), gens)
+
+
+@pytest.mark.parametrize("g", PAIR_GROUPS, ids=str)
+def test_pairs_compose_to_the_group_orders(g):
+    """c has order h (for either phase order of the G(m,m,n) s_0), each
+    transposition order 2, and diag(zeta_m^k) at one coordinate order
+    m / gcd(m, k)."""
+    h = invariants(g).coxeter_number
+    for s0_phases in [(-1, 1), (1, -1)]:
+        assert _pair_order(g.m, _coxeter_element(g, s0_phases)) == h
+    for r in enumerate_reflections(g):
+        if r.perm == tuple(range(g.n)):
+            (k,) = [k for k in r.phases if k]
+            assert _pair_order(g.m, (r.perm, r.phases)) == g.m // gcd(g.m, k)
+        else:
+            assert _pair_order(g.m, (r.perm, r.phases)) == 2
 
 
 def test_scan_bound_enforced():

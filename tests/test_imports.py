@@ -134,6 +134,8 @@ LAZY = {
     "standard_tableaux": "tableaux",
     "FiniteGroup": "chartable",
     "character_table": "chartable",
+    "nonabelian_fourier": "chartable",
+    "NonabelianFourier": "chartable",
 }
 
 
