@@ -20,7 +20,7 @@ embedding of type-B families, which the tests compare with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .exactnum import Cyclotomic, cyclo, cyclo_rational
@@ -41,7 +41,8 @@ class FiniteGroup:
     """A finite group presented by its multiplication table.
 
     table[i][j] is the index of the product (element i) * (element j);
-    the identity is located automatically.
+    the identity is located automatically.  The identity and the inverse
+    table are computed on first read and kept on the instance.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -61,7 +62,7 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @property
+    @cached_property
     def identity(self) -> int | None:
         for e in range(self.order):
             if all(self.table[e][j] == j for j in range(self.order)) and all(
@@ -73,8 +74,13 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
+    @cached_property
+    def _inverse_table(self) -> tuple[int, ...]:
+        e = self.identity
+        return tuple(row.index(e) for row in self.table)
+
     def inverse(self, i: int) -> int:
-        return _inverses(self)[i]
+        return self._inverse_table[i]
 
     def element_order(self, i: int) -> int:
         e = self.identity
@@ -122,16 +128,6 @@ class FiniteGroup:
                 row.append(index[ab])
             table.append(tuple(row))
         return FiniteGroup(tuple(table)), index
-
-
-@lru_cache(maxsize=None)
-def _inverses(group: FiniteGroup) -> tuple[int, ...]:
-    e = group.identity
-    n = group.order
-    out = [0] * n
-    for i in range(n):
-        out[i] = next(j for j in range(n) if group.table[i][j] == e)
-    return tuple(out)
 
 
 def cyclic_group_table(n: int) -> tuple[tuple[int, ...], ...]:

@@ -30,7 +30,8 @@ polynomials, q-integers, (q-1)^n, products of q^k - 1).  Its quotient
 is written over the lcm of the two conductors, which is where the
 Cyclotomic division loop, kept for every other operand, leaves it.
 Every int list becomes a `LaurentPoly` through `_int_poly`, which
-builds each coefficient once and passes `reduced=True`, so the
+builds one `Cyclotomic` per distinct value (values are immutable, so
+equal coefficients share it) and passes `reduced=True`, so the
 constructor skips its per-coefficient conversion and zero test.
 
 A polynomial over Z[zeta_m] may also be held in the group ring
@@ -154,18 +155,6 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _poly_mul(a: list, b: list) -> list:
-    """Product of dense polynomials; int lists stay int."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 def _mul_q_int(a: list[int], t: int) -> list[int]:
@@ -445,10 +434,12 @@ class Cyclotomic:
         return out
 
     def to_json(self):
-        return {
-            "conductor": self.n,
-            "coeffs": [[e, str(self.c[e])] for e in sorted(self.c)],
-        }
+        c = self.c
+        if len(c) == 1 and 0 in c:
+            pairs = [[0, str(c[0])]]  # a rational: nothing to sort
+        else:
+            pairs = [[e, str(c[e])] for e in sorted(c)]
+        return {"conductor": self.n, "coeffs": pairs}
 
 
 def cyclo(n: int, k: int) -> Cyclotomic:
@@ -695,15 +686,17 @@ def q_int(n: int) -> LaurentPoly:
 
 def _int_poly(coeffs: list[int], lo: int = 0, n: int = 1) -> LaurentPoly:
     """sum of coeffs[i] q^(lo + i) over an int list, each nonzero
-    coefficient an integer at conductor n."""
-    return LaurentPoly(
-        {
-            lo + i: Cyclotomic(n, {0: Fraction(c)}, reduced=True)
-            for i, c in enumerate(coeffs)
-            if c
-        },
-        reduced=True,
-    )
+    coefficient an integer at conductor n; equal coefficients share one
+    immutable Cyclotomic."""
+    made: dict[int, Cyclotomic] = {}
+    terms = {}
+    for i, c in enumerate(coeffs):
+        if c:
+            x = made.get(c)
+            if x is None:
+                x = made[c] = Cyclotomic(n, {0: Fraction(c)}, reduced=True)
+            terms[lo + i] = x
+    return LaurentPoly(terms, reduced=True)
 
 
 def _ring_poly(

@@ -2,10 +2,12 @@ import dataclasses
 import importlib
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 
 import pytest
 
+from polyref import poly_mul
 from spetscat import exactnum
 from spetscat.exactnum import (
     FractionalPowerError,
@@ -269,9 +271,9 @@ def test_catalan_coeffs_match_convolved_q_ints(g):
     for p in coprime_range(h, 12 * h - 1):
         numer = denom = [1]
         for e in inv.exponents:
-            numer = exactnum._poly_mul(numer, [1] * (p + (p * e) % h))
+            numer = poly_mul(numer, [1] * (p + (p * e) % h))
         for d in inv.degrees:
-            denom = exactnum._poly_mul(denom, [1] * d)
+            denom = poly_mul(denom, [1] * d)
         ref = exactnum._int_exact_div(numer, denom)
         assert CATALAN_MODULE._catalan_q_coeffs(g, p) == ref, p
 
@@ -509,3 +511,80 @@ def test_no_class_off_a_multiple_of_h_is_nonzero(g):
             assert all(s.is_zero() for s in off.values()), (r, at_root, weight)
             classes = CATALAN_MODULE._class_sums(g, r, at_root, weight)
             assert sorted(j for j, _ in classes) == list(range(-g.n, 1)), (r, at_root)
+
+
+
+# ---------------------------------------------------------------------------
+# verify_main's product form against the reference comparison through
+# trace_sum
+
+
+SWEEP_GROUPS = [Gm1n(2, 4), Gmmn(3, 4), Gmmn(4, 3), Gm1n(4, 2)]
+PRODUCT_FORM_CASES = [(g, 3) for g in ACCEPTANCE_GROUPS + STRETCH_TIER] + [
+    (g, 6) for g in SWEEP_GROUPS
+]
+
+
+def _reference_main(g, p):
+    """The main report at p through trace_sum, as verify_main made it
+    before the product form."""
+    return CATALAN_MODULE._timed(
+        g, p, "main",
+        lhs=partial(trace_sum, g, p),
+        rhs=partial(closed_form_main, g, p),
+    )
+
+
+def _without_ms(report):
+    out = report.to_json()
+    del out["ms"]
+    return out
+
+
+@pytest.fixture
+def count_trace_sum(monkeypatch):
+    """Count the calls verify_main makes to trace_sum."""
+    calls = []
+
+    def counted(g, p):
+        calls.append((g, p))
+        return trace_sum(g, p)
+
+    monkeypatch.setattr(CATALAN_MODULE, "trace_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g,span", PRODUCT_FORM_CASES, ids=str)
+def test_product_form_matches_the_reference(g, span, count_trace_sum):
+    """Every passing main report of both tiers (p <= 3h) and of the
+    sweep groups (p <= 6h) equals the reference report apart from ms,
+    and the reference path, trace_sum, never runs."""
+    h = invariants(g).coxeter_number
+    for p in coprime_range(h, span * h):
+        got = verify_main(g, (p,))[0]
+        assert got.equal, p
+        assert _without_ms(got) == _without_ms(_reference_main(g, p)), p
+    assert count_trace_sum == []
+
+
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "g,p",
+    [(TypeA(3), 1), (Gm1n(2, 2), 0), (Gm1n(2, 2), 2), (Gmmn(3, 3), 3), (Gm1n(2, 2), 2**63 + 1)],
+    ids=str,
+)
+def test_product_form_refuses_like_the_reference(g, p):
+    """Type A, p = 0, a p not coprime to h and a p past any dense list
+    raise the reference comparison's ValueError."""
+    expect = _message(lambda: _reference_main(g, p))
+    assert _message(lambda: verify_main(g, (p,))) == expect
+
+
+def test_type_a_main_names_the_imprimitive_kinds():
+    with pytest.raises(ValueError, match="^trace sums cover the imprimitive kinds only$"):
+        verify_main(TypeA(3), (1,))

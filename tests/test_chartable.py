@@ -48,6 +48,25 @@ def test_symmetric_four_degrees():
 @pytest.mark.parametrize(
     "table",
     [
+        cyclic_group_table(6),
+        symmetric_group_table(4),
+        direct_product_table(cyclic_group_table(2), symmetric_group_table(3)),
+    ],
+    ids=["Z6", "S4", "Z2xS3"],
+)
+def test_group_laws(table):
+    group = FiniteGroup(table)
+    e = group.identity
+    assert all(group.mul(e, i) == i == group.mul(i, e) for i in range(group.order))
+    for i in range(group.order):
+        inv = group.inverse(i)
+        assert group.mul(i, inv) == e == group.mul(inv, i), i
+        assert group.inverse(inv) == i, i
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
         cyclic_group_table(2),
         cyclic_group_table(3),
         cyclic_group_table(6),

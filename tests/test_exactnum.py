@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyref import poly_mul
 from spetscat import exactnum
 from spetscat.exactnum import (
     Cyclotomic,
@@ -265,7 +266,7 @@ def _check_int_division(quot, num_n, den, den_n, low, bump):
     """quot * den, written over conductor num_n, divided by den over
     den_n; then the same dividend plus bump = (exponent, coefficient)."""
     den_poly = _int_laurent(den, den_n)
-    product = exactnum._poly_mul(quot, den)
+    product = poly_mul(quot, den)
     num = _int_laurent(product, num_n, low)
     fast, ref = _both_routes(num, den_poly)
     assert fast == ref
@@ -315,7 +316,7 @@ def _check_int_divmod(a, b):
     _int_exact_div and against the Cyclotomic loop on a - rem."""
     quot, rem = exactnum._int_divmod(a, b)
     assert len(rem) == len(b) - 1
-    product = exactnum._poly_mul(quot, b)
+    product = poly_mul(quot, b)
     total = [0] * max(len(a), len(product), len(rem))
     for i, x in enumerate(product):
         total[i] += x
@@ -342,7 +343,7 @@ def test_int_divmod_randomized():
         a[-1] = a[-1] or 1
         if rng.random() < 0.5:
             # an exact dividend: a multiple of b
-            a = exactnum._poly_mul(a, b)
+            a = poly_mul(a, b)
         _check_int_divmod(a, b)
 
 
@@ -365,12 +366,12 @@ def test_ring_division_passes_a_remainder_zero_mod_phi():
     Z[zeta_3], so the division is exact and the quotient is read off."""
     b = [-1, 0, 1]  # q^2 - 1
     x = [[2, -1, 3], [0, 4, 1], [5, 0, -2]]
-    comps = [exactnum._poly_mul(c, b) for c in x]
+    comps = [poly_mul(c, b) for c in x]
     for c in comps:
         c[1] += 1
     assert exactnum._ring_exact_div(comps, b) == x
     # at m = 4 the same remainder is no multiple of Phi_4 = 1 + zeta^2
-    comps4 = comps + [exactnum._poly_mul([0, 0, 0], b)]
+    comps4 = comps + [poly_mul([0, 0, 0], b)]
     with pytest.raises(InexactDivisionError, match="exponent 1$"):
         exactnum._ring_exact_div(comps4, b)
 
@@ -380,7 +381,7 @@ def test_ring_division_names_the_exponent_of_a_perturbation():
     rng = random.Random(2020)
     for m in (2, 3, 4, 5, 6):
         x = [[rng.randint(-5, 5) for _ in range(3)] + [1] for _ in range(m)]
-        comps = [exactnum._poly_mul(c, b) for c in x]
+        comps = [poly_mul(c, b) for c in x]
         assert exactnum._ring_exact_div(comps, b) == x
         e, k = rng.randrange(3), rng.randrange(m)
         comps[k][e] += rng.choice([-2, -1, 1, 2])
@@ -564,13 +565,13 @@ def test_q_int_product_matches_convolution_randomized():
     for _ in range(300):
         a = [rng.randint(-5, 5) for _ in range(rng.randint(0, 12))]
         t = rng.randint(0, 15)
-        assert exactnum._mul_q_int(a, t) == exactnum._poly_mul(a, [1] * t)
+        assert exactnum._mul_q_int(a, t) == poly_mul(a, [1] * t)
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=st.lists(st.integers(-100, 100), max_size=30), t=st.integers(0, 40))
 def test_q_int_product_matches_convolution_hypothesis(a, t):
-    assert exactnum._mul_q_int(a, t) == exactnum._poly_mul(a, [1] * t)
+    assert exactnum._mul_q_int(a, t) == poly_mul(a, [1] * t)
 
 
 # ---------------------------------------------------------------------------
